@@ -30,7 +30,7 @@ type t = {
   default_duration : int;
   serial : bool;  (* wall-clock experiments that must never shard *)
   in_all : bool;  (* part of `bench all` and its artifact set *)
-  profile : bool;  (* cells run with the contention profiler on *)
+  profile : bool;  (* cells run with a heap observer on every machine *)
   spec : spec;
 }
 
@@ -293,22 +293,23 @@ let contend =
             ];
         };
       (* Per-machine heatmaps, then the merged ranking across machines. *)
-      let profs = Runner.Sweep.profilers ocs in
+      let observers = Runner.Sweep.observers ocs in
       let pf fmt = Format.fprintf ctx.ppf fmt in
       List.iter
-        (fun (mach, p) ->
-          pf "== Contention: %s (%d transfers) ==@." mach (Obs.Profiler.total_transfers p);
-          Obs.Profiler.print ~top:8 ctx.ppf p)
-        profs;
+        (fun (mach, o) ->
+          pf "== Contention: %s (%d transfers) ==@." mach (Obs.Forensics.total_transfers o);
+          Obs.Forensics.print_transfers ~top:8 ctx.ppf o)
+        observers;
       let entries =
         List.concat_map
-          (fun (mach, p) -> List.map (fun ls -> (mach, ls)) (Obs.Profiler.lines ~top:12 p))
-          profs
+          (fun (mach, o) ->
+            List.map (fun fl -> (mach, fl)) (Obs.Forensics.transfer_lines ~top:12 o))
+          observers
       in
       let ranked =
         List.sort
           (fun (_, a) (_, b) ->
-            Int.compare b.Obs.Profiler.ls_transfers a.Obs.Profiler.ls_transfers)
+            Int.compare b.Obs.Forensics.fl_transfers a.Obs.Forensics.fl_transfers)
           entries
       in
       let top n l = List.filteri (fun i _ -> i < n) l in
@@ -317,15 +318,15 @@ let contend =
         [ "machine"; "line"; "region"; "transfers"; "miss cycles"; "queue wait";
           "peak sharers" ]
         (List.map
-           (fun (mach, ls) ->
+           (fun (mach, fl) ->
              [
                mach;
-               string_of_int ls.Obs.Profiler.ls_line;
-               ls.ls_region;
-               string_of_int ls.ls_transfers;
-               string_of_int ls.ls_cycles;
-               string_of_int ls.ls_wait;
-               string_of_int ls.ls_max_sharers;
+               string_of_int fl.Obs.Forensics.fl_line;
+               fl.fl_region;
+               string_of_int fl.fl_transfers;
+               string_of_int fl.fl_cycles;
+               string_of_int fl.fl_wait;
+               string_of_int fl.fl_max_sharers;
              ])
            (top 16 ranked));
       pf "@.")
@@ -695,9 +696,9 @@ let scale =
 
 (* ------------------------------------------------------------------ *)
 (* The malloc-placement ablation: the arena allocator's placement
-   policies under a line-granularity HTM. Profiled, so the ping-pong
+   policies under a line-granularity HTM. Observed, so the ping-pong
    (transfers) column in the tables is populated; the per-machine
-   profiler tables stay out of the artifact (only emitted tables are
+   contention tables stay out of the artifact (only emitted tables are
    compared), matching contend. *)
 
 let placement =
@@ -819,8 +820,9 @@ let cell_count e ~duration ~seed =
 (* Run one experiment end to end: build its canonical cells, execute them
    on up to [jobs] domains, fold the per-cell metrics into [absorb_into]
    in canonical order, then present. Serial experiments ignore [jobs].
-   Returns the per-machine forensics aggregators (labelled, canonical
-   cell order; empty unless [forensics] was set). *)
+   [forensics] or the experiment's [profile] attaches a heap observer to
+   every machine; returns the observers (labelled, canonical cell order;
+   empty when neither is set). *)
 let run e ?(jobs = 1) ?(forensics = false) ?tracer ?absorb_into ?(times = false) ctx
     =
   match e.spec with
@@ -828,12 +830,12 @@ let run e ?(jobs = 1) ?(forensics = false) ?tracer ?absorb_into ?(times = false)
     let jobs = if e.serial then 1 else jobs in
     let cells = s.cells ~duration:ctx.duration ~seed:ctx.seed in
     let outcomes =
-      Runner.Sweep.run ~jobs ~metrics:(absorb_into <> None) ~profile:e.profile
-        ~forensics ?tracer cells
+      Runner.Sweep.run ~jobs ~metrics:(absorb_into <> None)
+        ~observe:(forensics || e.profile) ?tracer cells
     in
     (match absorb_into with
     | Some reg -> Runner.Sweep.absorb ~into:reg outcomes
     | None -> ());
     s.present ctx outcomes;
     if times then Obs.Table.print ctx.ppf (Runner.Sweep.timing_table outcomes);
-    Runner.Sweep.forensics outcomes
+    Runner.Sweep.observers outcomes

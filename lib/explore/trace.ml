@@ -33,11 +33,12 @@ let on_fault t (ev : Sim.Fault.event) =
   note t (Format.asprintf "t%-2d @%-9d flt  %s" ev.ev_tid ev.ev_clock what)
 
 let attach_htm t h =
-  (* With the last-writer journal on, abort events carry a resolved
-     conflict witness (aggressor thread, clock, op) — pp_tx_event renders
-     it, so counterexample traces name the write that doomed each
-     transaction. Free: journalling charges zero virtual cycles. *)
-  Simmem.track_writers (Htm.mem h);
+  (* With an observer attached, the last-writer journal is on and abort
+     events carry a resolved conflict witness (aggressor thread, clock,
+     op) — pp_tx_event renders it, so counterexample traces name the
+     write that doomed each transaction. Free: observation charges zero
+     virtual cycles. *)
+  Simmem.set_observer (Htm.mem h) (Some (Obs.Forensics.create ()));
   Htm.set_tap h
     (Some
        (fun ~tid ~clock ev ->

@@ -34,25 +34,35 @@ type hop = {
 
 type edge = { mutable e_rw : int; mutable e_ww : int }
 
-type alloc = { mutable a_tid : int; mutable a_clock : int; mutable a_count : int }
-
-type lstat = {
-  mutable l_conflicts : int;
-  mutable l_rw : int;
-  mutable l_ww : int;
+(* Everything observed about one cache line. Labels, coherence traffic,
+   conflicts and allocation provenance share the record, so every view
+   (the conflict ranking, the contention table) reads this one table. *)
+type line = {
+  mutable names : string list; (* region labels, deduplicated *)
+  mutable transfers : int;
+  mutable cycles : int;
+  mutable wait : int;
+  mutable max_sharers : int;
+  mutable conflicts : int;
+  mutable rw : int;
+  mutable ww : int;
   (* allocation provenance of the line's resident object at the time of
-     its most recent conflict, copied from the alloc log at record time *)
-  mutable l_prov : (int * int * int) option; (* tid, clock, alloc count *)
+     its most recent conflict, copied from the alloc fields at record
+     time *)
+  mutable prov : (int * int * int) option; (* tid, clock, alloc count *)
+  mutable a_tid : int; (* last allocating thread *)
+  mutable a_clock : int;
+  mutable a_count : int; (* allocations into the line; 0 = never *)
 }
 
+(* 8-word lines: the geometry of every simulated heap. *)
+let line_shift = 3
+
 type t = {
-  line_shift : int;
   max_hops : int;
   mutable total : int;
   edges : (int * int, edge) Hashtbl.t; (* (victim, aggressor) *)
-  lines : (int, lstat) Hashtbl.t;
-  line_names : (int, string list ref) Hashtbl.t;
-  allocs : (int, alloc) Hashtbl.t;
+  lines : (int, line) Hashtbl.t;
   sites : (string, int ref) Hashtbl.t;
   victims : (int, int ref) Hashtbl.t;
   mutable rev_hops : hop list;
@@ -60,15 +70,12 @@ type t = {
   mutable hop_total : int; (* including those beyond max_hops *)
 }
 
-let create ?(line_shift = 3) ?(max_hops = 256) () =
+let create ?(max_hops = 256) () =
   {
-    line_shift;
     max_hops;
     total = 0;
     edges = Hashtbl.create 64;
     lines = Hashtbl.create 256;
-    line_names = Hashtbl.create 256;
-    allocs = Hashtbl.create 256;
     sites = Hashtbl.create 16;
     victims = Hashtbl.create 16;
     rev_hops = [];
@@ -76,30 +83,43 @@ let create ?(line_shift = 3) ?(max_hops = 256) () =
     hop_total = 0;
   }
 
-let line_shift t = t.line_shift
+let line_of t line =
+  match Hashtbl.find_opt t.lines line with
+  | Some l -> l
+  | None ->
+    let l =
+      { names = []; transfers = 0; cycles = 0; wait = 0; max_sharers = 0;
+        conflicts = 0; rw = 0; ww = 0; prov = None; a_tid = 0; a_clock = 0;
+        a_count = 0 }
+    in
+    Hashtbl.add t.lines line l;
+    l
+
+(* Re-labelling a recycled block is O(lines covered) and idempotent, so
+   allocation hot loops can label unconditionally. *)
+let add_name l name = if not (List.mem name l.names) then l.names <- name :: l.names
 
 let label t ~name ~base ~words =
-  if words > 0 then begin
-    let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in
-    for line = lo to hi do
-      match Hashtbl.find_opt t.line_names line with
-      | Some names -> if not (List.mem name !names) then names := name :: !names
-      | None -> Hashtbl.add t.line_names line (ref [ name ])
+  if words > 0 then
+    for line = base lsr line_shift to (base + words - 1) lsr line_shift do
+      add_name (line_of t line) name
     done
-  end
 
 let note_alloc t ~base ~words ~tid ~clock =
-  if words > 0 then begin
-    let lo = base lsr t.line_shift and hi = (base + words - 1) lsr t.line_shift in
-    for line = lo to hi do
-      match Hashtbl.find_opt t.allocs line with
-      | Some a ->
-        a.a_tid <- tid;
-        a.a_clock <- clock;
-        a.a_count <- a.a_count + 1
-      | None -> Hashtbl.add t.allocs line { a_tid = tid; a_clock = clock; a_count = 1 }
+  if words > 0 then
+    for line = base lsr line_shift to (base + words - 1) lsr line_shift do
+      let l = line_of t line in
+      l.a_tid <- tid;
+      l.a_clock <- clock;
+      l.a_count <- l.a_count + 1
     done
-  end
+
+let record_transfer t ~line ~wait ~cost ~sharers =
+  let l = line_of t line in
+  l.transfers <- l.transfers + 1;
+  l.cycles <- l.cycles + cost;
+  l.wait <- l.wait + wait;
+  if sharers > l.max_sharers then l.max_sharers <- sharers
 
 let bump tbl key =
   match Hashtbl.find_opt tbl key with
@@ -118,19 +138,10 @@ let record t w =
       e
   in
   if w.w_victim_wrote then e.e_ww <- e.e_ww + 1 else e.e_rw <- e.e_rw + 1;
-  let ls =
-    match Hashtbl.find_opt t.lines w.w_line with
-    | Some ls -> ls
-    | None ->
-      let ls = { l_conflicts = 0; l_rw = 0; l_ww = 0; l_prov = None } in
-      Hashtbl.add t.lines w.w_line ls;
-      ls
-  in
-  ls.l_conflicts <- ls.l_conflicts + 1;
-  if w.w_victim_wrote then ls.l_ww <- ls.l_ww + 1 else ls.l_rw <- ls.l_rw + 1;
-  (match Hashtbl.find_opt t.allocs w.w_line with
-   | Some a -> ls.l_prov <- Some (a.a_tid, a.a_clock, a.a_count)
-   | None -> ());
+  let l = line_of t w.w_line in
+  l.conflicts <- l.conflicts + 1;
+  if w.w_victim_wrote then l.ww <- l.ww + 1 else l.rw <- l.rw + 1;
+  if l.a_count > 0 then l.prov <- Some (l.a_tid, l.a_clock, l.a_count);
   bump t.sites w.w_site;
   bump t.victims w.w_victim
 
@@ -154,12 +165,12 @@ let count t = t.total
 let hop_count t = t.hop_total
 let hops t = List.rev t.rev_hops
 
-(* Same convention as the profiler: multiple names on a line mean distinct
-   regions shared it over its lifetime. *)
-let region_of t line =
-  match Hashtbl.find_opt t.line_names line with
-  | None | Some { contents = [] } -> "?"
-  | Some names -> String.concat " + " (List.sort String.compare !names)
+(* Multiple names on a line mean distinct regions shared it over its
+   lifetime — rendered joined, a direct false-sharing indicator. *)
+let region_of l =
+  match l.names with
+  | [] -> "?"
+  | names -> String.concat " + " (List.sort String.compare names)
 
 type edge_stat = { es_victim : int; es_aggressor : int; es_rw : int; es_ww : int }
 
@@ -185,51 +196,63 @@ type line_stat = {
   fl_conflicts : int;
   fl_rw : int;
   fl_ww : int;
+  fl_transfers : int;
+  fl_cycles : int;
+  fl_wait : int;
+  fl_max_sharers : int;
 }
 
-let lines ?top t =
-  let all =
-    Hashtbl.fold
-      (fun line ls acc ->
-        {
-          fl_line = line;
-          fl_addr = line lsl t.line_shift;
-          fl_region = region_of t line;
-          fl_prov = ls.l_prov;
-          fl_conflicts = ls.l_conflicts;
-          fl_rw = ls.l_rw;
-          fl_ww = ls.l_ww;
-        }
-        :: acc)
-      t.lines []
+(* The lines where [key] is non-zero, ranked by it (descending; ties by
+   line index ascending). *)
+let ranked ?(top = max_int) key t =
+  let stat line l =
+    {
+      fl_line = line;
+      fl_addr = line lsl line_shift;
+      fl_region = region_of l;
+      fl_prov = l.prov;
+      fl_conflicts = l.conflicts;
+      fl_rw = l.rw;
+      fl_ww = l.ww;
+      fl_transfers = l.transfers;
+      fl_cycles = l.cycles;
+      fl_wait = l.wait;
+      fl_max_sharers = l.max_sharers;
+    }
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match Int.compare b.fl_conflicts a.fl_conflicts with
-        | 0 -> Int.compare a.fl_line b.fl_line
-        | c -> c)
-      all
-  in
-  match top with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+  Hashtbl.fold (fun line l acc -> stat line l :: acc) t.lines []
+  |> List.filter (fun s -> key s > 0)
+  |> List.sort (fun a b ->
+         match Int.compare (key b) (key a) with
+         | 0 -> Int.compare a.fl_line b.fl_line
+         | c -> c)
+  |> List.filteri (fun i _ -> i < top)
 
-let regions t =
+let lines ?top t = ranked ?top (fun s -> s.fl_conflicts) t
+let transfer_lines ?top t = ranked ?top (fun s -> s.fl_transfers) t
+
+(* Sum [(a, b)] per region over [rows], ranked by [a] descending (ties by
+   name). *)
+let rollup f rows =
   let tbl = Hashtbl.create 16 in
-  let order = ref [] in
   List.iter
     (fun fl ->
+      let a, b = f fl in
       match Hashtbl.find_opt tbl fl.fl_region with
-      | Some n -> Hashtbl.replace tbl fl.fl_region (n + fl.fl_conflicts)
-      | None ->
-        Hashtbl.add tbl fl.fl_region fl.fl_conflicts;
-        order := fl.fl_region :: !order)
-    (lines t);
+      | Some (a0, b0) -> Hashtbl.replace tbl fl.fl_region (a0 + a, b0 + b)
+      | None -> Hashtbl.add tbl fl.fl_region (a, b))
+    rows;
   List.sort
-    (fun (n1, c1) (n2, c2) ->
-      match Int.compare c2 c1 with 0 -> String.compare n1 n2 | c -> c)
-    (List.rev_map (fun name -> (name, Hashtbl.find tbl name)) !order)
+    (fun (n1, a1, _) (n2, a2, _) ->
+      match Int.compare a2 a1 with 0 -> String.compare n1 n2 | c -> c)
+    (Hashtbl.fold (fun name (a, b) acc -> (name, a, b) :: acc) tbl [])
+
+let regions t =
+  List.map (fun (name, n, _) -> (name, n)) (rollup (fun fl -> (fl.fl_conflicts, 0)) (lines t))
+
+let transfer_regions t = rollup (fun fl -> (fl.fl_transfers, fl.fl_cycles)) (transfer_lines t)
+
+let total_transfers t = Hashtbl.fold (fun _ l acc -> acc + l.transfers) t.lines 0
 
 let sorted_counts tbl =
   List.sort
@@ -259,34 +282,23 @@ let absorb dst src =
       | None -> Hashtbl.add dst.edges key { e_rw = e.e_rw; e_ww = e.e_ww })
     src.edges;
   Hashtbl.iter
-    (fun line ls ->
-      match Hashtbl.find_opt dst.lines line with
-      | Some d ->
-        d.l_conflicts <- d.l_conflicts + ls.l_conflicts;
-        d.l_rw <- d.l_rw + ls.l_rw;
-        d.l_ww <- d.l_ww + ls.l_ww;
-        (match ls.l_prov with Some _ as p -> d.l_prov <- p | None -> ())
-      | None ->
-        Hashtbl.add dst.lines line
-          { l_conflicts = ls.l_conflicts; l_rw = ls.l_rw; l_ww = ls.l_ww;
-            l_prov = ls.l_prov })
+    (fun line l ->
+      let d = line_of dst line in
+      List.iter (add_name d) (List.rev l.names);
+      d.transfers <- d.transfers + l.transfers;
+      d.cycles <- d.cycles + l.cycles;
+      d.wait <- d.wait + l.wait;
+      d.max_sharers <- max d.max_sharers l.max_sharers;
+      d.conflicts <- d.conflicts + l.conflicts;
+      d.rw <- d.rw + l.rw;
+      d.ww <- d.ww + l.ww;
+      (match l.prov with Some _ as p -> d.prov <- p | None -> ());
+      if l.a_count > 0 then begin
+        d.a_tid <- l.a_tid;
+        d.a_clock <- l.a_clock;
+        d.a_count <- d.a_count + l.a_count
+      end)
     src.lines;
-  Hashtbl.iter
-    (fun line names ->
-      List.iter (fun name -> label dst ~name ~base:(line lsl dst.line_shift) ~words:1)
-        (List.rev !names))
-    src.line_names;
-  Hashtbl.iter
-    (fun line a ->
-      match Hashtbl.find_opt dst.allocs line with
-      | Some d ->
-        d.a_tid <- a.a_tid;
-        d.a_clock <- a.a_clock;
-        d.a_count <- d.a_count + a.a_count
-      | None ->
-        Hashtbl.add dst.allocs line
-          { a_tid = a.a_tid; a_clock = a.a_clock; a_count = a.a_count })
-    src.allocs;
   Hashtbl.iter (fun k r -> match Hashtbl.find_opt dst.sites k with
     | Some d -> d := !d + !r
     | None -> Hashtbl.add dst.sites k (ref !r))
@@ -364,6 +376,27 @@ let print ?(top = 12) ppf t =
            ])
          (hops t))
   end
+
+let print_transfers ?(top = 16) ppf t =
+  Format.fprintf ppf "== cache-line contention (top %d by transfers) ==@." top;
+  Table.print_cols ppf
+    [ "line"; "region"; "transfers"; "cycles"; "wait"; "sharers" ]
+    (List.map
+       (fun fl ->
+         [
+           Printf.sprintf "0x%x" fl.fl_addr;
+           fl.fl_region;
+           string_of_int fl.fl_transfers;
+           string_of_int fl.fl_cycles;
+           string_of_int fl.fl_wait;
+           string_of_int fl.fl_max_sharers;
+         ])
+       (transfer_lines ~top t));
+  Format.fprintf ppf "@.== per-region coherence traffic ==@.";
+  Table.print_cols ppf [ "region"; "transfers"; "cycles" ]
+    (List.map
+       (fun (name, tr, cy) -> [ name; string_of_int tr; string_of_int cy ])
+       (transfer_regions t))
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)

@@ -1,22 +1,29 @@
-(** Transaction forensics: conflict-witness aggregation and abort
-    attribution.
+(** The per-machine heap observer: coherence traffic, conflict
+    witnesses and abort attribution over one per-cache-line table.
 
-    A {e witness} is captured by the memory system at the moment a
+    The simulated memory reports every coherence transfer (a read or
+    write miss that pulled the line from another core, plus the cycles
+    the requester spent queued behind earlier transfers of the same
+    line), every allocation, and every {e witness}: the moment a
     coherence invalidation (or version-check failure) dooms a
-    transaction: who was the victim, which thread's committed write was
+    transaction — who was the victim, which thread's committed write was
     the aggressor, which address and line they collided on, and whether
-    the victim had the line in its read- or write-set. Aggregating
-    witnesses answers the questions raw abort counters cannot: {e which
-    threads} fight, over {e which lines}, belonging to {e which}
-    labelled region and produced by {e which} allocation.
+    the victim had the line in its read- or write-set. Data-structure
+    implementations {!label} the address ranges they allocate
+    ("ListHoHRC.header", "MSQueue+ROP.node", ...). Aggregating answers
+    the questions raw abort counters cannot: {e which threads} fight,
+    over {e which lines}, belonging to {e which} labelled region and
+    produced by {e which} allocation — and which lines ping-pong.
 
-    Like the tracer and profiler, forensics is pure OCaml-side
-    bookkeeping: recording charges zero virtual cycles, consumes no
-    simulator RNG and never perturbs scheduling, so an instrumented run
-    is cycle-for-cycle identical to a bare one.
+    Lines are 8 words, the geometry of every simulated heap.
+
+    Like the tracer, observation is pure OCaml-side bookkeeping:
+    recording charges zero virtual cycles, consumes no simulator RNG and
+    never perturbs scheduling, so an instrumented run is cycle-for-cycle
+    identical to a bare one.
 
     All accessors return canonically sorted data and {!to_json} is
-    deterministic, so artifacts built from forensics merged in a fixed
+    deterministic, so artifacts built from observers merged in a fixed
     (canonical) cell order are byte-identical regardless of host
     parallelism. *)
 
@@ -51,22 +58,27 @@ type hop = {
 
 type t
 
-val create : ?line_shift:int -> ?max_hops:int -> unit -> t
-(** [line_shift] must match the memory it observes (default 3 =
-    8-word lines); [max_hops] bounds the stored escalation timeline
-    (default 256) — the total is still counted past the bound. *)
-
-val line_shift : t -> int
+val create : ?max_hops:int -> unit -> t
+(** [max_hops] bounds the stored escalation timeline (default 256) — the
+    total is still counted past the bound. *)
 
 (** {1 Recording} *)
 
 val label : t -> name:string -> base:int -> words:int -> unit
-(** Name the lines covering [\[base, base+words)], for {!region_of}.
-    Multiple distinct names on one line are all kept (false sharing). *)
+(** Name the lines covering [\[base, base+words)]. Labels accumulate per
+    line and are deduplicated, so allocation hot loops can label every
+    block unconditionally. Freeing is not tracked: a line used by several
+    regions over its lifetime reports all their names, joined with
+    [" + "] — a direct false-sharing indicator. *)
 
 val note_alloc : t -> base:int -> words:int -> tid:int -> clock:int -> unit
 (** Record allocation provenance for the covered lines: which thread
     allocated into them, when, and how many times over the run. *)
+
+val record_transfer : t -> line:int -> wait:int -> cost:int -> sharers:int -> unit
+(** One coherence transfer of [line]: [wait] cycles spent queued behind
+    earlier transfers, [cost] total cycles charged for the miss,
+    [sharers] the number of caches holding the line at request time. *)
 
 val record : t -> witness -> unit
 
@@ -108,13 +120,28 @@ type line_stat = {
   fl_conflicts : int;
   fl_rw : int;
   fl_ww : int;
+  fl_transfers : int;  (** coherence transfers of this line *)
+  fl_cycles : int;  (** total miss cycles charged on this line *)
+  fl_wait : int;  (** of which: queueing behind other transfers *)
+  fl_max_sharers : int;  (** peak sharer count seen at request time *)
 }
 
 val lines : ?top:int -> t -> line_stat list
-(** Hot-line ranking: conflicts descending, line ascending. *)
+(** Hot-line ranking of the conflicted lines: conflicts descending, line
+    ascending. *)
 
 val regions : t -> (string * int) list
 (** Conflicts summed per region label, descending. *)
+
+val transfer_lines : ?top:int -> t -> line_stat list
+(** The lines with coherence transfers, by transfer count descending
+    (ties by line ascending). *)
+
+val transfer_regions : t -> (string * int * int) list
+(** [(region, transfers, cycles)] summed over {!transfer_lines}, by
+    transfers descending (ties by name). *)
+
+val total_transfers : t -> int
 
 val sites : t -> (string * int) list
 (** Witnesses per capture site, descending. *)
@@ -131,8 +158,8 @@ val hop_count : t -> int
 (** {1 Merge and render} *)
 
 val absorb : t -> t -> unit
-(** [absorb dst src] folds [src]'s aggregates into [dst]: counts add,
-    labels union, provenance takes [src]'s when present, hop timelines
+(** [absorb dst src] folds [src]'s aggregates into [dst]: counts add
+    (peak sharers take the maximum), labels union, provenance takes [src]'s when present, hop timelines
     concatenate under [dst]'s bound. Absorbing in canonical cell order
     makes the result independent of host scheduling. *)
 
@@ -140,6 +167,11 @@ val print : ?top:int -> Format.formatter -> t -> unit
 (** Human-readable diagnosis: conflict graph, hot lines (with region and
     provenance), abort sites, escalation timeline — via {!Table}. *)
 
+val print_transfers : ?top:int -> Format.formatter -> t -> unit
+(** The contention table: line, region, transfers, cycles, wait, peak
+    sharers of the top [top] (default 16) {!transfer_lines}; then the
+    per-region rollup. *)
+
 val to_json : ?top:int -> t -> Json.t
 (** Deterministic [{schema: "forensics/1", ...}] object; [top] bounds
-    the hot-line list (default 64). *)
+    the conflicted-line list (default 64). *)

@@ -18,26 +18,25 @@
 type hooks = {
   h_prepare : unit -> unit;
       (** Reset the executing domain's per-cell ambient state (value
-          supply, machine labels, profiler log). *)
+          supply, machine labels, observer log). *)
   h_install :
     metrics:Obs.Metrics.t option ->
-    profile:bool ->
-    forensics:bool ->
+    observe:bool ->
     tracer:Obs.Tracer.t option ->
     unit;
       (** Install the cell's observability sinks in the executing
           domain. *)
   h_finish :
-    unit -> (string * Obs.Profiler.t) list * (string * Obs.Forensics.t) list;
-      (** Collect the cell's labeled profilers and forensics, and restore
-          the domain to its unobserved state. *)
+    unit -> (string * Obs.Forensics.t) list;
+      (** Collect the cell's labeled heap observers, and restore the
+          domain to its unobserved state. *)
 }
 
 let no_hooks =
   {
     h_prepare = ignore;
-    h_install = (fun ~metrics:_ ~profile:_ ~forensics:_ ~tracer:_ -> ());
-    h_finish = (fun () -> ([], []));
+    h_install = (fun ~metrics:_ ~observe:_ ~tracer:_ -> ());
+    h_finish = (fun () -> []);
   }
 
 (* Written once, at [Workload.Driver]'s module initialisation, before any
@@ -50,12 +49,10 @@ type 'a outcome = {
   oc_value : ('a, exn) result;
   oc_wall_us : float;  (** wall-clock, microseconds — never deterministic *)
   oc_snapshot : Obs.Metrics.snapshot;  (** empty unless [metrics] was set *)
-  oc_profilers : (string * Obs.Profiler.t) list;  (** empty unless [profile] *)
-  oc_forensics : (string * Obs.Forensics.t) list;  (** empty unless [forensics] *)
+  oc_observers : (string * Obs.Forensics.t) list;  (** empty unless [observe] *)
 }
 
-let run ?(jobs = 1) ?(metrics = false) ?(profile = false) ?(forensics = false)
-    ?tracer cells =
+let run ?(jobs = 1) ?(metrics = false) ?(observe = false) ?tracer cells =
   (* A tracer is a single shared append buffer; interleaving domains into
      it would scramble the event order, so tracing forces a serial run. *)
   let jobs = match tracer with Some _ -> 1 | None -> jobs in
@@ -63,18 +60,17 @@ let run ?(jobs = 1) ?(metrics = false) ?(profile = false) ?(forensics = false)
   let exec (c : 'a Cell.t) =
     h.h_prepare ();
     let reg = if metrics then Some (Obs.Metrics.create ()) else None in
-    h.h_install ~metrics:reg ~profile ~forensics ~tracer;
+    h.h_install ~metrics:reg ~observe ~tracer;
     let t0 = Unix.gettimeofday () in
     let value = try Ok (c.thunk ()) with e -> Error e in
     let wall_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-    let profilers, fors = h.h_finish () in
+    let observers = h.h_finish () in
     {
       oc_label = c.label;
       oc_value = value;
       oc_wall_us = wall_us;
       oc_snapshot = (match reg with Some r -> Obs.Metrics.snapshot r | None -> []);
-      oc_profilers = profilers;
-      oc_forensics = fors;
+      oc_observers = observers;
     }
   in
   Array.to_list (Pool.map ~jobs exec (Array.of_list cells))
@@ -107,8 +103,7 @@ let absorb ~into outcomes =
       Obs.Metrics.incr ~by:us wall_c)
     outcomes
 
-let profilers outcomes = List.concat_map (fun o -> o.oc_profilers) outcomes
-let forensics outcomes = List.concat_map (fun o -> o.oc_forensics) outcomes
+let observers outcomes = List.concat_map (fun o -> o.oc_observers) outcomes
 
 (* The per-cell timing table, for humans (never written into BENCH
    artifacts — wall-clock would break their byte-stability). *)

@@ -18,19 +18,18 @@
 type hooks = {
   h_prepare : unit -> unit;
       (** Reset the executing domain's per-cell ambient state (value
-          supply, machine labels, profiler log). *)
+          supply, machine labels, observer log). *)
   h_install :
     metrics:Obs.Metrics.t option ->
-    profile:bool ->
-    forensics:bool ->
+    observe:bool ->
     tracer:Obs.Tracer.t option ->
     unit;
       (** Install the cell's observability sinks in the executing
           domain. *)
   h_finish :
-    unit -> (string * Obs.Profiler.t) list * (string * Obs.Forensics.t) list;
-      (** Collect the cell's labeled profilers and forensics aggregators,
-          and restore the domain to its unobserved state. *)
+    unit -> (string * Obs.Forensics.t) list;
+      (** Collect the cell's labeled heap observers, and restore the
+          domain to its unobserved state. *)
 }
 
 val no_hooks : hooks
@@ -44,22 +43,21 @@ type 'a outcome = {
   oc_value : ('a, exn) result;
   oc_wall_us : float;  (** wall-clock, microseconds — never deterministic *)
   oc_snapshot : Obs.Metrics.snapshot;  (** empty unless [metrics] was set *)
-  oc_profilers : (string * Obs.Profiler.t) list;  (** empty unless [profile] *)
-  oc_forensics : (string * Obs.Forensics.t) list;  (** empty unless [forensics] *)
+  oc_observers : (string * Obs.Forensics.t) list;  (** empty unless [observe] *)
 }
 
 val run :
   ?jobs:int ->
   ?metrics:bool ->
-  ?profile:bool ->
-  ?forensics:bool ->
+  ?observe:bool ->
   ?tracer:Obs.Tracer.t ->
   'a Cell.t list ->
   'a outcome list
 (** Execute the cells on up to [jobs] domains (default 1) and return
-    their outcomes in input order. Passing a [tracer] forces [jobs = 1]:
-    the tracer is a single shared append buffer whose event order
-    parallel domains would scramble. *)
+    their outcomes in input order. [observe] attaches a heap observer
+    ({!Obs.Forensics.t}) to every machine a cell builds. Passing a
+    [tracer] forces [jobs = 1]: the tracer is a single shared append
+    buffer whose event order parallel domains would scramble. *)
 
 val values : 'a outcome list -> 'a list
 (** Unwrap in canonical order; re-raises the first failure — only after
@@ -74,11 +72,8 @@ val absorb : into:Obs.Metrics.t -> 'a outcome list -> unit
     (deterministic whatever order the pool ran them in), then publish
     the wall-clock telemetry under [runner.*]. *)
 
-val profilers : 'a outcome list -> (string * Obs.Profiler.t) list
-(** All labeled contention profilers, in canonical cell order. *)
-
-val forensics : 'a outcome list -> (string * Obs.Forensics.t) list
-(** All labeled forensics aggregators, in canonical cell order. *)
+val observers : 'a outcome list -> (string * Obs.Forensics.t) list
+(** All labeled heap observers, in canonical cell order. *)
 
 val timing_table : ?top:int -> 'a outcome list -> Obs.Table.table
 (** The per-cell timing table, for humans (never written into BENCH

@@ -65,14 +65,12 @@ let line_words = 1 lsl line_shift
 type placement =
   | Line_packed (* contiguous bump: blocks share lines, maximal false sharing *)
   | Line_isolated (* every block starts a fresh line and owns it entirely *)
-  | Cache_index_aware (* line-isolated + per-thread chunk coloring *)
 
 type alloc_policy = Shared_lifo | Arena of placement
 
 let placement_label = function
   | Line_packed -> "line-packed"
   | Line_isolated -> "line-isolated"
-  | Cache_index_aware -> "cache-index-aware"
 
 let alloc_label = function
   | Shared_lifo -> "shared-lifo"
@@ -84,8 +82,7 @@ let alloc_label = function
 let granule_of placement n =
   match placement with
   | Line_packed -> n
-  | Line_isolated | Cache_index_aware ->
-    (n + line_words - 1) land lnot (line_words - 1)
+  | Line_isolated -> (n + line_words - 1) land lnot (line_words - 1)
 
 (* Minimum chunk an arena carves from the global extent, in words. *)
 let chunk_min = 512
@@ -188,7 +185,7 @@ type t = {
   arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
   mutable tap : (access_event -> unit) option;
   (* The one observability test hot paths make: set when any per-access
-     bookkeeping (tap, last-writer journal) is installed, so the
+     bookkeeping (tap, heap observer) is installed, so the
      no-observer configuration pays a single predictable branch per
      access and allocates nothing. Recomputed by the setters. *)
   mutable obs_on : bool;
@@ -227,17 +224,17 @@ type t = {
   g_live_words : Obs.Metrics.gauge;
   g_live_blocks : Obs.Metrics.gauge;
   h_queue_wait : Obs.Metrics.hist;
-  mutable prof : Obs.Profiler.t option;
+  (* The heap observer: coherence transfers, labels, allocations and
+     conflict witnesses all go to it. *)
+  mutable observer : Obs.Forensics.t option;
   (* Last-writer journal, the aggressor side of conflict witnesses: per
      word, which thread's committed store bumped the version last, what
-     kind of store it was and at what clock. Off by default; the arrays
-     are allocated on first enable, and capture is a handful of array
-     stores, zero virtual cycles. *)
-  mutable wr_on : bool;
+     kind of store it was and at what clock. Kept exactly while an
+     observer is attached; capture is a handful of array stores, zero
+     virtual cycles. *)
   mutable wr_tid : int array;
   mutable wr_kind : Bytes.t;
   mutable wr_clock : int array;
-  mutable fors : Obs.Forensics.t option;
 }
 
 type stats = {
@@ -308,12 +305,10 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     g_live_words = Obs.Metrics.gauge mreg "mem.live_words";
     g_live_blocks = Obs.Metrics.gauge mreg "mem.live_blocks";
     h_queue_wait = Obs.Metrics.hist mreg "mem.queue_wait";
-    prof = None;
-    wr_on = false;
+    observer = None;
     wr_tid = [||];
     wr_kind = Bytes.empty;
     wr_clock = [||];
-    fors = None;
   }
 
 let stats (t : t) =
@@ -355,14 +350,11 @@ let line_version t line = t.lversions.(line)
 let line_writer t line = t.lw_tid.(line)
 
 let refresh_obs t =
-  t.obs_on <- (match t.tap with Some _ -> true | None -> t.wr_on)
+  t.obs_on <- (match (t.tap, t.observer) with None, None -> false | _ -> true)
 
 let set_tap t f =
   t.tap <- f;
   refresh_obs t
-
-let set_profiler t p = t.prof <- p
-let profiler t = t.prof
 
 (* Bit index of [tid] in a sharer set: runnable tids map to themselves,
    boot contexts to the reserved top index. A runnable tid at or beyond
@@ -376,12 +368,9 @@ let bindex t tid =
       (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
 
 let label t ~name ~base ~words =
-  (match t.prof with
-   | None -> ()
-   | Some p -> Obs.Profiler.label p ~name ~base ~words);
-  match t.fors with
+  match t.observer with
   | None -> ()
-  | Some f -> Obs.Forensics.label f ~name ~base ~words
+  | Some o -> Obs.Forensics.label o ~name ~base ~words
 
 (* ---- Conflict forensics ----------------------------------------------
 
@@ -389,8 +378,8 @@ let label t ~name ~base ~words =
    no [tick]/[charge], no RNG — an instrumented run is cycle-for-cycle
    identical to a bare one. *)
 
-(* The journal arrays are sized with the heap but only once the journal is
-   enabled — a plain run carries no per-word observability footprint. *)
+(* The journal arrays are sized with the heap but only while an observer
+   is attached — a plain run carries no per-word observability footprint. *)
 let wr_ensure t =
   let n = Array.length t.values in
   if Array.length t.wr_tid < n then begin
@@ -405,30 +394,30 @@ let wr_ensure t =
     t.wr_clock <- wr_clock
   end
 
-let track_writers t =
-  t.wr_on <- true;
-  wr_ensure t;
+(* Detaching drops the journal, so a re-attached observer starts from an
+   empty one. *)
+let set_observer t o =
+  t.observer <- o;
+  (match o with
+   | Some _ -> wr_ensure t
+   | None ->
+     t.wr_tid <- [||];
+     t.wr_kind <- Bytes.empty;
+     t.wr_clock <- [||]);
   refresh_obs t
 
-let set_forensics t f =
-  t.fors <- f;
-  if f <> None then begin
-    t.wr_on <- true;
-    wr_ensure t
-  end;
-  refresh_obs t
-
-let forensics t = t.fors
+let observer t = t.observer
 
 let note_write t ctx addr op =
-  if t.wr_on then begin
+  match t.observer with
+  | None -> ()
+  | Some _ ->
     Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
     Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
     t.wr_clock.(addr) <- Sim.clock ctx
-  end
 
 let last_writer t addr =
-  if (not t.wr_on) || addr < 0 || addr >= Array.length t.wr_tid then None
+  if addr < 0 || addr >= Array.length t.wr_tid then None
   else
     let tid = Array.unsafe_get t.wr_tid addr in
     if tid = no_writer then None
@@ -476,7 +465,7 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
    is known, draw a Perfetto flow arrow from the aggressor's committed
    write to the victim's abort point. *)
 let record_witness t ctx (w : Obs.Forensics.witness) =
-  (match t.fors with None -> () | Some f -> Obs.Forensics.record f w);
+  (match t.observer with None -> () | Some o -> Obs.Forensics.record o w);
   match Sim.tracer ctx with
   | Some sink when w.Obs.Forensics.w_aggressor >= 0 && w.w_aggressor_clock >= 0 ->
     let id = Obs.Tracer.flow_id sink in
@@ -490,10 +479,10 @@ let record_witness t ctx (w : Obs.Forensics.witness) =
   | _ -> ()
 
 let note_hop t ctx ~from_path ~to_path ~reason w =
-  match t.fors with
+  match t.observer with
   | None -> ()
-  | Some f ->
-    Obs.Forensics.note_hop f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ~from_path
+  | Some o ->
+    Obs.Forensics.note_hop o ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ~from_path
       ~to_path ~reason w
 
 (* Taps fire after the access completes, so the stamped clock includes the
@@ -544,7 +533,7 @@ let grow t needed =
   let lw_tid = Array.make nlines (-1) in
   Array.blit t.lw_tid 0 lw_tid 0 (Array.length t.lw_tid);
   t.lw_tid <- lw_tid;
-  if t.wr_on then wr_ensure t
+  match t.observer with None -> () | Some _ -> wr_ensure t
 
 let word_state t addr = Char.code (Bytes.unsafe_get t.state addr)
 
@@ -572,13 +561,13 @@ let popcount x =
   done;
   !c
 
-(* Observe one coherence transfer: contention profile, queue-wait
-   histogram, and (when a tracer is attached) a miss instant on the
-   requesting thread's track. Zero virtual cycles. *)
+(* Observe one coherence transfer: the heap observer's line table,
+   queue-wait histogram, and (when a tracer is attached) a miss instant on
+   the requesting thread's track. Zero virtual cycles. *)
 let observe_miss t ctx ~kind ~addr ~line ~sharers ~cost ~wait =
-  (match t.prof with
+  (match t.observer with
    | None -> ()
-   | Some p -> Obs.Profiler.record_transfer p ~line ~wait ~cost ~sharers);
+   | Some o -> Obs.Forensics.record_transfer o ~line ~wait ~cost ~sharers);
   if wait > 0 then Obs.Metrics.observe t.h_queue_wait wait;
   match Sim.tracer ctx with
   | None -> ()
@@ -853,7 +842,7 @@ let cas t ctx addr ~expected ~desired =
     bump_version t ctx addr;
     if t.obs_on then note_write t ctx addr Op_atomic
   end
-  else if (match t.fors with Some _ -> true | None -> false) then
+  else if (match t.observer with Some _ -> true | None -> false) then
     (* A failed CAS is a coherence-plane conflict in its own right: some
        other thread's committed store got between this thread's read of
        [expected] and its attempt to install [desired]. Non-transactional
@@ -1020,22 +1009,10 @@ let arena_of t ctx =
   end;
   a
 
-(* Carve a fresh chunk off the global bump pointer. Chunks are always
-   line-aligned; [Cache_index_aware] additionally colors each thread's
-   chunk starts so different arenas land on different line-index residues
-   (the stand-in for set-index-aware placement on this flat memory). *)
+(* Carve a fresh line-aligned chunk off the global bump pointer. *)
 let arena_carve t a gran =
   let align_line x = (x + line_words - 1) land lnot (line_words - 1) in
-  let start =
-    let s = align_line t.extent in
-    match t.alloc with
-    | Arena Cache_index_aware ->
-      let colors = 8 in
-      let color = a.a_tid mod colors in
-      let lane = (s lsr line_shift) mod colors in
-      s + (((color - lane + colors) mod colors) * line_words)
-    | _ -> s
-  in
+  let start = align_line t.extent in
   let chunk = max chunk_min (align_line gran) in
   if start + chunk > Array.length t.values then grow t (start + chunk);
   a.a_carved <- a.a_carved + (start + chunk - t.extent);
@@ -1090,10 +1067,10 @@ let malloc t ctx n =
     for a = base to base + n - 1 do
       note_write t ctx a Op_malloc
     done;
-  (match t.fors with
+  (match t.observer with
    | None -> ()
-   | Some f ->
-     Obs.Forensics.note_alloc f ~base ~words:n ~tid:(Sim.tid ctx)
+   | Some o ->
+     Obs.Forensics.note_alloc o ~base ~words:n ~tid:(Sim.tid ctx)
        ~clock:(Sim.clock ctx));
   Obs.Metrics.add t.g_live_words n;
   Obs.Metrics.add t.g_live_blocks 1;

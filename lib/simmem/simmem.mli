@@ -73,19 +73,15 @@ val default_costs : cost_model
       placement from "The Influence of Malloc Placement on TSX Hardware
       Transactional Memory".
     - [Line_isolated]: every block is rounded up to whole lines and
-      starts on a line boundary; no two blocks ever share a line.
-    - [Cache_index_aware]: line-isolated, plus each thread's chunk
-      starts are colored to distinct line-index residues — the
-      set-index-aware refinement (on this flat memory it behaves like
-      [Line_isolated] with spread chunk origins). *)
+      starts on a line boundary; no two blocks ever share a line. *)
 
-type placement = Line_packed | Line_isolated | Cache_index_aware
+type placement = Line_packed | Line_isolated
 type alloc_policy = Shared_lifo | Arena of placement
 
 val placement_label : placement -> string
 val alloc_label : alloc_policy -> string
 (** Stable labels for artifacts/CLI: ["shared-lifo"], ["arena/line-packed"],
-    ["arena/line-isolated"], ["arena/cache-index-aware"]. *)
+    ["arena/line-isolated"]. *)
 
 type t
 
@@ -186,50 +182,40 @@ val line_writer : t -> int -> int
     never bumped (no cost, no yield). Lets a validator absorb its own
     bumps instead of self-aborting. *)
 
-val set_profiler : t -> Obs.Profiler.t option -> unit
-(** Attach a contention profiler: every coherence transfer (read or write
-    miss) is recorded with its line, queuing delay, total cost and the
-    sharer count at request time. Costs nothing when unset. *)
+(** {1 The heap observer}
 
-val profiler : t -> Obs.Profiler.t option
-
-val label : t -> name:string -> base:int -> words:int -> unit
-(** Region-label an address range for contention attribution (no-op
-    without a profiler or forensics). Data-structure implementations call
-    this at allocation sites: ["ListHoHRC.header"], ["MSQueue+ROP.node"],
-    ... *)
-
-(** {1 Conflict forensics}
-
-    A {e witness} captures who doomed a transaction (or a CAS) at the
-    coherence plane: the victim, the aggressor whose committed store
-    invalidated it, the address they collided on and the access kinds.
-    Aggressors are resolved from a per-word {e last-writer journal}
-    (thread, clock, store kind at the word's most recent version bump),
-    enabled by {!track_writers} or by attaching a {!Obs.Forensics.t}.
+    One optional {!Obs.Forensics.t} per heap sees everything the
+    coherence plane can tell: every coherence transfer (read or write
+    miss, with its line, queuing delay, total cost and the sharer count
+    at request time), every {!label} and {!malloc}, and every conflict
+    {e witness} — who doomed a transaction (or a CAS): the victim, the
+    aggressor whose committed store invalidated it, the address they
+    collided on and the access kinds. Aggressors are resolved from a
+    per-word {e last-writer journal} (thread, clock, store kind at the
+    word's most recent version bump), kept exactly while an observer is
+    attached.
 
     All of it is observation only — zero virtual cycles, no RNG, no
-    scheduling impact — so instrumented runs are cycle-identical to bare
-    ones. *)
+    scheduling impact — so observed runs are cycle-identical to bare
+    ones, and a heap without an observer pays one branch per access. *)
+
+val set_observer : t -> Obs.Forensics.t option -> unit
+(** Attach (or, with [None], detach) the heap observer. Detaching also
+    stops and drops the last-writer journal. *)
+
+val observer : t -> Obs.Forensics.t option
+
+val label : t -> name:string -> base:int -> words:int -> unit
+(** Region-label an address range for attribution (no-op without an
+    observer). Data-structure implementations call this at allocation
+    sites: ["ListHoHRC.header"], ["MSQueue+ROP.node"], ... *)
 
 type writer_op = Op_store | Op_atomic | Op_commit | Op_malloc | Op_free
 
-val track_writers : t -> unit
-(** Turn on the last-writer journal without attaching forensics (the
-    schedule explorer does this so counterexample traces carry
-    aggressors). *)
-
 val last_writer : t -> int -> (int * int * writer_op) option
 (** [(tid, clock, op)] of the committed store that last bumped this
-    word's version; [None] if the journal is off or the word was never
-    written since it came on. *)
-
-val set_forensics : t -> Obs.Forensics.t option -> unit
-(** Attach a forensics aggregator (implies {!track_writers}); {!label}
-    and {!malloc} provenance forward into it, and witnesses recorded via
-    {!record_witness} accumulate there. *)
-
-val forensics : t -> Obs.Forensics.t option
+    word's version; [None] without an observer, or if the word was not
+    written since the observer was attached. *)
 
 val conflict_witness :
   t ->
@@ -250,7 +236,7 @@ val conflict_witness :
     the journal's thread when the caller knows the owner exactly. *)
 
 val record_witness : t -> Sim.tctx -> Obs.Forensics.witness -> unit
-(** Aggregate into the attached forensics (if any) and, when a tracer is
+(** Aggregate into the attached observer (if any) and, when a tracer is
     attached and the aggressor known, emit a Chrome-trace flow arrow
     from the aggressor's write to the victim's abort. *)
 
@@ -262,7 +248,7 @@ val note_hop :
   reason:string ->
   Obs.Forensics.witness option ->
   unit
-(** Record an escalation hop (HW → STM → TLE) in the attached forensics;
+(** Record an escalation hop (HW → STM → TLE) in the attached observer;
     no-op otherwise. *)
 
 (** Access-event tap, for trace capture by the schedule explorer
@@ -326,7 +312,7 @@ val fenced_write : t -> Sim.tctx -> int -> int -> unit
 val cas : t -> Sim.tctx -> int -> expected:int -> desired:int -> bool
 (** Atomic compare-and-swap; bumps the version only on success. Atomics
     are implicit full fences: the thread's store buffer drains first.
-    With forensics attached, a {e failed} CAS records a conflict witness
+    With an observer attached, a {e failed} CAS records a conflict witness
     (site ["mem.cas"]) against the word's last writer — how non-
     transactional lock-free structures surface their contention. *)
 

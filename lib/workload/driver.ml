@@ -18,19 +18,16 @@ type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
    internally, so the benchmark front-end cannot thread sinks through
    their signatures; instead it installs them here once and every machine
    built afterwards attaches itself: a tracer process per machine, the
-   shared aggregate metrics registry as parent, and (when profiling) a
-   fresh contention profiler per machine, logged under the machine's
-   label for the report. *)
+   shared aggregate metrics registry as parent, and (when observing) a
+   fresh heap observer per machine, logged under the machine's label for
+   the report. *)
 type obs = {
   obs_tracer : Obs.Tracer.t option;
   obs_metrics : Obs.Metrics.t option;
-  obs_profile : bool;
-  obs_forensics : bool;
+  obs_observer : bool;
 }
 
-let no_obs =
-  { obs_tracer = None; obs_metrics = None; obs_profile = false;
-    obs_forensics = false }
+let no_obs = { obs_tracer = None; obs_metrics = None; obs_observer = false }
 
 (* All ambient harness state is domain-local: the sweep runner
    ({!Runner.Sweep}) executes benchmark cells on worker domains, each of
@@ -42,14 +39,13 @@ let no_obs =
 type state = {
   mutable st_obs : obs;
   mutable st_seq : int;
-  mutable st_profs : (string * Obs.Profiler.t) list;
-  mutable st_fors : (string * Obs.Forensics.t) list;
+  mutable st_observers : (string * Obs.Forensics.t) list;
   mutable st_value : int;
 }
 
 let state_key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { st_obs = no_obs; st_seq = 0; st_profs = []; st_fors = []; st_value = 0 })
+      { st_obs = no_obs; st_seq = 0; st_observers = []; st_value = 0 })
 
 let state () = Domain.DLS.get state_key
 
@@ -57,13 +53,11 @@ let set_obs o =
   let st = state () in
   st.st_obs <- o;
   st.st_seq <- 0;
-  st.st_profs <- [];
-  st.st_fors <- [];
+  st.st_observers <- [];
   if o.obs_tracer = None then Sim.set_default_tracer None
 
 let obs () = (state ()).st_obs
-let profilers () = List.rev (state ()).st_profs
-let forensics () = List.rev (state ()).st_fors
+let observers () = List.rev (state ()).st_observers
 
 let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
     ?heap_words ?alloc () =
@@ -80,15 +74,10 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
   (match o.obs_tracer with
    | None -> Sim.set_default_tracer None
    | Some tr -> Sim.set_default_tracer (Some (Obs.Tracer.process tr ~name)));
-  if o.obs_profile then begin
-    let p = Obs.Profiler.create () in
-    Simmem.set_profiler mem (Some p);
-    st.st_profs <- (name, p) :: st.st_profs
-  end;
-  if o.obs_forensics then begin
-    let f = Obs.Forensics.create () in
-    Simmem.set_forensics mem (Some f);
-    st.st_fors <- (name, f) :: st.st_fors
+  if o.obs_observer then begin
+    let ob = Obs.Forensics.create () in
+    Simmem.set_observer mem (Some ob);
+    st.st_observers <- (name, ob) :: st.st_observers
   end;
   let htm = Htm.create ~config:htm_config ?metrics:o.obs_metrics mem in
   { mem; htm; boot = Sim.boot ~seed () }
@@ -139,7 +128,7 @@ let split_evenly total n = List.init n (fun i -> (total / n) + if i < total mod 
 (* ------------------------------------------------------------------ *)
 (* Sweep-runner integration: before each cell, reset this domain's
    ambient state; install the cell's private sinks; afterwards hand the
-   cell's profilers back and return the domain to the unobserved
+   cell's observers back and return the domain to the unobserved
    state. *)
 
 let () =
@@ -150,21 +139,13 @@ let () =
           let st = state () in
           st.st_value <- 0;
           st.st_seq <- 0;
-          st.st_profs <- [];
-          st.st_fors <- []);
+          st.st_observers <- []);
       h_install =
-        (fun ~metrics ~profile ~forensics ~tracer ->
-          set_obs
-            {
-              obs_tracer = tracer;
-              obs_metrics = metrics;
-              obs_profile = profile;
-              obs_forensics = forensics;
-            });
+        (fun ~metrics ~observe ~tracer ->
+          set_obs { obs_tracer = tracer; obs_metrics = metrics; obs_observer = observe });
       h_finish =
         (fun () ->
-          let ps = profilers () in
-          let fs = forensics () in
+          let obs = observers () in
           set_obs no_obs;
-          (ps, fs));
+          obs);
     }

@@ -21,33 +21,28 @@ type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
     {!machine} built afterwards attaches itself — a tracer process (and
     the ambient {!Sim.set_default_tracer} sink) per machine, the shared
     metrics registry as parent of its heap's and HTM domain's registries,
-    and a per-machine contention profiler when [obs_profile] is set. *)
+    and a per-machine heap observer when [obs_observer] is set. *)
 type obs = {
   obs_tracer : Obs.Tracer.t option;
   obs_metrics : Obs.Metrics.t option;
-  obs_profile : bool;
-  obs_forensics : bool;
-      (** attach a per-machine {!Obs.Forensics.t} (conflict witnesses,
-          escalation timelines, allocation provenance) to every machine
-          built afterwards *)
+  obs_observer : bool;
+      (** attach a per-machine heap observer {!Obs.Forensics.t} (line
+          transfers, conflict witnesses, escalation timelines, allocation
+          provenance) to every machine built afterwards *)
 }
 
 val no_obs : obs
 
 val set_obs : obs -> unit
 (** Install the observability sinks and reset the machine-label sequence
-    and profiler log. *)
+    and observer log. *)
 
 val obs : unit -> obs
 (** The currently installed sinks (for experiments that re-install a
-    variant — e.g. the contention profile — and restore afterwards). *)
+    variant — e.g. heap observation — and restore afterwards). *)
 
-val profilers : unit -> (string * Obs.Profiler.t) list
-(** Per-machine contention profilers created since the last {!set_obs},
-    labelled, in machine-creation order. *)
-
-val forensics : unit -> (string * Obs.Forensics.t) list
-(** Per-machine forensics aggregators created since the last {!set_obs},
+val observers : unit -> (string * Obs.Forensics.t) list
+(** Per-machine heap observers created since the last {!set_obs},
     labelled, in machine-creation order. *)
 
 val machine :
@@ -59,7 +54,7 @@ val machine :
   ?alloc:Simmem.alloc_policy ->
   unit ->
   machine
-(** [label] names the machine's tracer process and profiler entry
+(** [label] names the machine's tracer process and observer entry
     (default ["machine-<n>"] in creation order). [threads] sizes the
     heap's sharer sets for runs wider than the 61-thread default;
     [heap_words] sets the initial heap extent (see {!Simmem.create}) —

@@ -9,7 +9,7 @@
 
     - {b counters}: the boot thread allocates one single-word counter per
       thread from its arena — under [Line_packed] eight of them share a
-      cache line; under the isolating policies each gets its own — and
+      cache line; under [Line_isolated] each gets its own — and
       every thread transactionally increments only {e its own} counter.
       There are no true conflicts at all: every abort and every coherence
       transfer is pure false sharing, manufactured by the allocator.
@@ -26,7 +26,7 @@
 
     Each cell reports throughput, the conflict-abort rate (aborts per
     hardware attempt) and the machine's coherence line transfers (the
-    {!Obs.Profiler} ping-pong count, 0 when run unprofiled). The
+    heap observer's ping-pong count, 0 when run unobserved). The
     experiment also re-runs the fig 1 queue sweep on arena machines with
     Michael-Scott under epoch-based reclamation ({!Hqueue.ebr}) beside
     ROP and HTM — the modern quiescence-style competitor the paper
@@ -38,14 +38,14 @@ type result = {
   threads : int;
   throughput : float;  (** ops/us *)
   abort_rate : float;  (** conflict aborts per hardware attempt *)
-  transfers : int;  (** coherence line transfers (0 when unprofiled) *)
+  transfers : int;  (** coherence line transfers (0 when unobserved) *)
 }
 
 type queue_result = { queue : string; q_threads : int; q_throughput : float }
 
 type piece = P_ablation of result | P_fig1 of queue_result
 
-let policies = [ Simmem.Line_packed; Simmem.Line_isolated; Simmem.Cache_index_aware ]
+let policies = [ Simmem.Line_packed; Simmem.Line_isolated ]
 
 (* Line-granularity conflict detection: the idealized per-word default
    would hide the placement effect entirely (word detection never sees a
@@ -63,8 +63,8 @@ let snapshot ~structure ~policy ~threads ~duration ~ops (m : Driver.machine) =
     abort_rate =
       float_of_int st.aborts_conflict /. float_of_int (max 1 st.attempts_hw);
     transfers =
-      (match Simmem.profiler m.mem with
-      | Some p -> Obs.Profiler.total_transfers p
+      (match Simmem.observer m.mem with
+      | Some o -> Obs.Forensics.total_transfers o
       | None -> 0);
   }
 
@@ -242,9 +242,9 @@ let cells ?(duration = 300_000) ?(seed = 7) () =
           competitor_names)
       competitor_threads
 
-(* Profiled even standalone: the transfers column is the point. *)
+(* Observed even standalone: the transfers column is the point. *)
 let run ?jobs ?duration ?seed () =
-  Runner.Sweep.values (Runner.Sweep.run ?jobs ~profile:true (cells ?duration ?seed ()))
+  Runner.Sweep.values (Runner.Sweep.run ?jobs ~observe:true (cells ?duration ?seed ()))
 
 let ablations pieces =
   List.filter_map (function P_ablation r -> Some r | P_fig1 _ -> None) pieces

@@ -10,7 +10,7 @@ type result = {
   threads : int;
   throughput : float;  (** ops/us *)
   abort_rate : float;  (** conflict aborts per hardware attempt *)
-  transfers : int;  (** coherence line transfers (0 when run unprofiled) *)
+  transfers : int;  (** coherence line transfers (0 when run unobserved) *)
 }
 
 type queue_result = { queue : string; q_threads : int; q_throughput : float }
@@ -18,7 +18,7 @@ type queue_result = { queue : string; q_threads : int; q_throughput : float }
 type piece = P_ablation of result | P_fig1 of queue_result
 
 val policies : Simmem.placement list
-(** Canonical column order: packed, isolated, cache-index-aware. *)
+(** Canonical column order: packed, isolated. *)
 
 val line_htm : Htm.config
 (** {!Htm.default_config} with [granularity = Line]. *)
@@ -47,8 +47,8 @@ val cells : ?duration:int -> ?seed:int -> unit -> piece Runner.Cell.t list
     fig1-shaped competitor block, in canonical sweep order. *)
 
 val run : ?jobs:int -> ?duration:int -> ?seed:int -> unit -> piece list
-(** Run the cells with the contention profiler attached (so the transfers
-    column is populated) and return the pieces in canonical order. *)
+(** Run the cells with a heap observer attached (so the transfers column
+    is populated) and return the pieces in canonical order. *)
 
 val ablations : piece list -> result list
 val fig1_results : piece list -> queue_result list

@@ -13,7 +13,6 @@ let all_policies =
     Simmem.Shared_lifo;
     Simmem.Arena Simmem.Line_packed;
     Simmem.Arena Simmem.Line_isolated;
-    Simmem.Arena Simmem.Cache_index_aware;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -119,7 +118,7 @@ let prop_no_overlap =
 
 (* The same traffic must make the same progress whatever the placement:
    malloc/free costs are placement-independent, so the schedule — and
-   with it the op counts — is identical across all four policies. *)
+   with it the op counts — is identical across all three policies. *)
 let test_stats_consistent_across_policies () =
   let stats =
     List.map
@@ -267,7 +266,7 @@ let render tables =
 let test_placement_jobs_byte_identity () =
   let run jobs =
     let outcomes =
-      Runner.Sweep.run ~jobs ~profile:true
+      Runner.Sweep.run ~jobs ~observe:true
         (Workload.Placement_bench.cells ~duration:15_000 ~seed:5 ())
     in
     render (Workload.Placement_bench.to_tables (Runner.Sweep.values outcomes))

@@ -1,11 +1,13 @@
-(* Tests for transaction forensics (lib/obs/forensics + lib/simmem capture)
-   and the satellite observability additions: metrics percentiles, tracer
-   drop accounting, conflict flow events — and the system-level guarantees
-   the `bench doctor` pipeline rests on: witness capture is free (an
-   instrumented run is cycle-identical to a bare one), aggregation is
-   deterministic across worker counts, and the contend experiment's
-   witnesses attribute HoHRC aborts to the header line while ROP's spread
-   across payload lines. *)
+(* Tests for the heap observer (lib/obs/forensics + lib/simmem capture):
+   line-transfer and conflict aggregation over one line table, the
+   contention and diagnosis renderings, attach/detach of the last-writer
+   journal; the satellite observability additions: metrics percentiles,
+   tracer drop accounting, conflict flow events — and the system-level
+   guarantees the `bench doctor` pipeline rests on: witness capture is
+   free (an instrumented run is cycle-identical to a bare one),
+   aggregation is deterministic across worker counts, and the contend
+   experiment's witnesses attribute HoHRC aborts to the header line while
+   ROP's spread across payload lines. *)
 
 let contains s affix = Astring.String.is_infix ~affix s
 
@@ -145,7 +147,35 @@ let test_forensics_aggregates () =
   Alcotest.(check (list (pair int int)))
     "victims ascending tid"
     [ (2, 1); (3, 2) ]
-    (Obs.Forensics.victims f)
+    (Obs.Forensics.victims f);
+  (* Coherence traffic into the same table, on lines no witness touched
+     (8-word lines: words 0-7 are line 0, 8-15 line 1, ...). *)
+  Obs.Forensics.label f ~name:"A" ~base:0 ~words:8;
+  Obs.Forensics.label f ~name:"B" ~base:8 ~words:16;
+  Obs.Forensics.label f ~name:"A" ~base:0 ~words:8;
+  (* relabelling is idempotent; C overlaps B's first line *)
+  Obs.Forensics.label f ~name:"C" ~base:12 ~words:2;
+  Obs.Forensics.record_transfer f ~line:0 ~wait:0 ~cost:40 ~sharers:2;
+  Obs.Forensics.record_transfer f ~line:1 ~wait:10 ~cost:50 ~sharers:3;
+  Obs.Forensics.record_transfer f ~line:1 ~wait:0 ~cost:40 ~sharers:1;
+  Obs.Forensics.record_transfer f ~line:9 ~wait:0 ~cost:40 ~sharers:1;
+  Alcotest.(check int) "total transfers" 4 (Obs.Forensics.total_transfers f);
+  let hot = Obs.Forensics.transfer_lines f in
+  Alcotest.(check (list int))
+    "hottest line first, ties by line index" [ 1; 0; 9 ]
+    (List.map (fun (l : Obs.Forensics.line_stat) -> l.fl_line) hot);
+  (match hot with
+  | top :: _ ->
+    Alcotest.(check string) "false sharing shown" "B + C" top.fl_region;
+    Alcotest.(check int) "wait accumulated" 10 top.fl_wait;
+    Alcotest.(check int) "peak sharers" 3 top.fl_max_sharers
+  | [] -> Alcotest.fail "no transfer lines");
+  Alcotest.(check (list (triple string int int)))
+    "per-region transfers and cycles"
+    [ ("B + C", 2, 90); ("?", 1, 40); ("A", 1, 40) ]
+    (Obs.Forensics.transfer_regions f);
+  Alcotest.(check int) "conflict view unchanged by traffic" 2
+    (List.length (Obs.Forensics.lines f))
 
 let test_forensics_hop_bound () =
   let f = Obs.Forensics.create ~max_hops:2 () in
@@ -228,6 +258,38 @@ let test_print_golden () =
   in
   Alcotest.(check string) "diagnosis renders exactly" expected rendered
 
+(* Golden contention table, pinned byte for byte — what `bench contend`
+   prints per machine. *)
+let test_print_transfers_golden () =
+  let f = Obs.Forensics.create () in
+  Obs.Forensics.label f ~name:"Hdr" ~base:0 ~words:8;
+  Obs.Forensics.label f ~name:"Node" ~base:8 ~words:8;
+  Obs.Forensics.label f ~name:"Slot" ~base:12 ~words:4;
+  Obs.Forensics.record_transfer f ~line:1 ~wait:30 ~cost:90 ~sharers:4;
+  Obs.Forensics.record_transfer f ~line:1 ~wait:0 ~cost:60 ~sharers:2;
+  Obs.Forensics.record_transfer f ~line:0 ~wait:0 ~cost:60 ~sharers:1;
+  Obs.Forensics.record_transfer f ~line:40 ~wait:5 ~cost:65 ~sharers:1;
+  (* a conflict alone never enters the contention view *)
+  Obs.Forensics.record f (w ~addr:0x400 ());
+  let rendered = Format.asprintf "%a" (Obs.Forensics.print_transfers ~top:2) f in
+  let expected =
+    String.concat "\n"
+      [
+        "== cache-line contention (top 2 by transfers) ==";
+        "line  region       transfers  cycles  wait  sharers  ";
+        "0x8   Node + Slot  2          150     30    4        ";
+        "0x0   Hdr          1          60      0     1        ";
+        "";
+        "== per-region coherence traffic ==";
+        "region       transfers  cycles  ";
+        "Node + Slot  2          150     ";
+        "?            1          65      ";
+        "Hdr          1          60      ";
+        "";
+      ]
+  in
+  Alcotest.(check string) "contention table renders exactly" expected rendered
+
 (* Property: to_json output survives print -> parse. *)
 let witness_gen =
   QCheck.Gen.(
@@ -270,7 +332,7 @@ let test_json_roundtrip_prop =
    perturbation. *)
 let run_workload ?forensics ?tracer ~seed () =
   let mem = Simmem.create () in
-  Simmem.set_forensics mem forensics;
+  Simmem.set_observer mem forensics;
   let htm = Htm.create mem in
   let boot = Sim.boot ~seed () in
   let arr = Simmem.malloc mem boot 16 in
@@ -344,7 +406,7 @@ let test_conflict_flows_in_trace () =
 let test_escalation_hop_capture () =
   let f = Obs.Forensics.create () in
   let mem = Simmem.create () in
-  Simmem.set_forensics mem (Some f);
+  Simmem.set_observer mem (Some f);
   let htm =
     Htm.create ~config:{ Htm.default_config with tle = Htm.Tle_after 1 } mem
   in
@@ -366,6 +428,45 @@ let test_escalation_hop_capture () =
     Alcotest.(check string) "into the lock" "tle" h.hp_to;
     Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
   | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs)
+
+(* Detaching the observer stops the last-writer journal and returns the
+   heap to the no-observer access path: a store after the detach is not
+   journalled, and accesses allocate within test_perf's no-observer
+   budget (half a word per access; an attached observer costs an event
+   record per store). *)
+let test_detach_stops_journal () =
+  let mem = Simmem.create () in
+  let boot = Sim.boot ~seed:1 () in
+  let a = Simmem.malloc mem boot 8 in
+  Simmem.set_observer mem (Some (Obs.Forensics.create ()));
+  Simmem.write mem boot a 1;
+  Alcotest.(check bool) "attached: store journalled" true
+    (Simmem.last_writer mem a <> None);
+  Simmem.set_observer mem None;
+  Simmem.write mem boot (a + 1) 2;
+  Alcotest.(check bool) "detached: store not journalled" true
+    (Simmem.last_writer mem (a + 1) = None);
+  let accesses = 20_000 in
+  let churn () =
+    Sim.run ~seed:1
+      [|
+        (fun ctx ->
+          for i = 1 to accesses / 2 do
+            Simmem.write mem ctx (a + (i land 7)) i;
+            ignore (Simmem.read mem ctx (a + (i land 7)))
+          done);
+      |]
+  in
+  churn ();
+  churn ();
+  let w0 = Gc.minor_words () in
+  churn ();
+  let words = Gc.minor_words () -. w0 in
+  let budget = 20_000.0 +. (0.5 *. float_of_int accesses) in
+  if words > budget then
+    Alcotest.failf
+      "detached heap allocated %.0f minor words for %d accesses (budget %.0f)" words
+      accesses budget
 
 (* Observation is free: attaching forensics (and a tracer) never moves
    virtual time — same final value, same per-thread clocks. *)
@@ -413,17 +514,17 @@ let contend_cells () =
   ]
 
 let forensics_bytes outcomes =
-  Runner.Sweep.forensics outcomes
+  Runner.Sweep.observers outcomes
   |> List.map (fun (name, f) ->
          name ^ ":" ^ Obs.Json.to_string (Obs.Forensics.to_json f))
   |> String.concat "\n"
 
 let test_doctor_determinism_and_shape () =
-  let serial = Runner.Sweep.run ~forensics:true (contend_cells ()) in
-  let parallel = Runner.Sweep.run ~jobs:8 ~forensics:true (contend_cells ()) in
+  let serial = Runner.Sweep.run ~observe:true (contend_cells ()) in
+  let parallel = Runner.Sweep.run ~jobs:8 ~observe:true (contend_cells ()) in
   Alcotest.(check string) "forensics byte-identical across jobs"
     (forensics_bytes serial) (forensics_bytes parallel);
-  let fors = Runner.Sweep.forensics serial in
+  let fors = Runner.Sweep.observers serial in
   Alcotest.(check bool) "every machine reports" true (List.length fors >= 4);
   (* HoHRC attribution: the majority of its conflict witnesses must land
      on header-labelled lines — the experiment's known truth. *)
@@ -495,6 +596,8 @@ let () =
           Alcotest.test_case "hop bound" `Quick test_forensics_hop_bound;
           Alcotest.test_case "absorb" `Quick test_forensics_absorb;
           Alcotest.test_case "print golden" `Quick test_print_golden;
+          Alcotest.test_case "contention table golden" `Quick
+            test_print_transfers_golden;
           test_json_roundtrip_prop;
         ] );
       ( "capture",
@@ -503,6 +606,8 @@ let () =
           Alcotest.test_case "conflict flows in trace" `Quick
             test_conflict_flows_in_trace;
           Alcotest.test_case "escalation hops" `Quick test_escalation_hop_capture;
+          Alcotest.test_case "detach stops the journal" `Quick
+            test_detach_stops_journal;
           test_zero_cost_prop;
         ] );
       ( "doctor",

@@ -1,10 +1,10 @@
 (* Tests for the observability layer (lib/obs) and its wiring into the
    simulator: JSON printer/parser round-trips, the metrics registry
-   (parent mirroring, local-only resets), the tracer ring buffer, the
-   contention profiler's region attribution — and the two system-level
-   guarantees: tracing is deterministic (same seed + strategy gives a
-   byte-identical trace file) and free (a traced run is cycle-for-cycle
-   identical to an untraced one). *)
+   (parent mirroring, local-only resets), the tracer ring buffer — and
+   the two system-level guarantees: tracing is deterministic (same seed +
+   strategy gives a byte-identical trace file) and free (a traced and
+   observed run is cycle-for-cycle identical to a bare one). The heap
+   observer's own tests live in test_forensics.ml. *)
 
 let contains s affix = Astring.String.is_infix ~affix s
 
@@ -252,50 +252,13 @@ let test_tracer_span_args () =
     | _ -> Alcotest.fail "no traceEvents list")
 
 (* ------------------------------------------------------------------ *)
-(* Profiler                                                            *)
-
-let test_profiler_attribution () =
-  let p = Obs.Profiler.create () in
-  (* 8-word lines: words 0-7 are line 0, 8-15 line 1, ... *)
-  Obs.Profiler.label p ~name:"A" ~base:0 ~words:8;
-  Obs.Profiler.label p ~name:"B" ~base:8 ~words:16;
-  Obs.Profiler.label p ~name:"A" ~base:0 ~words:8;
-  (* relabelling is idempotent *)
-  Obs.Profiler.label p ~name:"C" ~base:12 ~words:2;
-  (* overlaps B's line *)
-  Obs.Profiler.record_transfer p ~line:0 ~wait:0 ~cost:40 ~sharers:2;
-  Obs.Profiler.record_transfer p ~line:1 ~wait:10 ~cost:50 ~sharers:3;
-  Obs.Profiler.record_transfer p ~line:1 ~wait:0 ~cost:40 ~sharers:1;
-  Obs.Profiler.record_transfer p ~line:9 ~wait:0 ~cost:40 ~sharers:1;
-  Alcotest.(check int) "total transfers" 4 (Obs.Profiler.total_transfers p);
-  let lines = Obs.Profiler.lines p in
-  (match lines with
-  | top :: _ ->
-    Alcotest.(check int) "hottest line first" 1 top.Obs.Profiler.ls_line;
-    Alcotest.(check string) "false sharing shown" "B + C" top.ls_region;
-    Alcotest.(check int) "wait accumulated" 10 top.ls_wait;
-    Alcotest.(check int) "peak sharers" 3 top.ls_max_sharers
-  | [] -> Alcotest.fail "no lines");
-  let unlabeled =
-    List.find (fun l -> l.Obs.Profiler.ls_line = 9) lines
-  in
-  Alcotest.(check string) "unlabeled line" "?" unlabeled.ls_region;
-  match Obs.Profiler.regions p with
-  | (top_region, n, _) :: _ ->
-    Alcotest.(check string) "hottest region" "B + C" top_region;
-    Alcotest.(check int) "hottest region transfers" 2 n
-  | [] -> Alcotest.fail "no regions"
-
-(* ------------------------------------------------------------------ *)
 (* System level: determinism and zero cost                              *)
 
 (* A small contended HTM workload on a fresh machine; returns the final
    counter value and each thread's final virtual clock. *)
-let run_workload ?tracer ?metrics ?profile ~seed () =
+let run_workload ?tracer ?metrics ?observer ~seed () =
   let mem = Simmem.create ?metrics () in
-  (match profile with
-  | Some p -> Simmem.set_profiler mem (Some p)
-  | None -> ());
+  Simmem.set_observer mem observer;
   let htm = Htm.create ?metrics mem in
   let boot = Sim.boot ~seed () in
   let addr = Simmem.malloc mem boot 8 in
@@ -332,8 +295,8 @@ let test_zero_cost_prop =
          let t = Obs.Tracer.create () in
          let sink = Obs.Tracer.process t ~name:"m" in
          let metrics = Obs.Metrics.create () in
-         let profile = Obs.Profiler.create () in
-         let observed = run_workload ~tracer:sink ~metrics ~profile ~seed () in
+         let observer = Obs.Forensics.create () in
+         let observed = run_workload ~tracer:sink ~metrics ~observer ~seed () in
          Obs.Tracer.recorded t > 0 && bare = observed))
 
 let test_fault_instants_in_trace () =
@@ -392,8 +355,6 @@ let () =
           Alcotest.test_case "ring overwrite" `Quick test_tracer_ring;
           Alcotest.test_case "span payload" `Quick test_tracer_span_args;
         ] );
-      ( "profiler",
-        [ Alcotest.test_case "attribution" `Quick test_profiler_attribution ] );
       ( "system",
         [
           Alcotest.test_case "trace determinism" `Quick test_trace_determinism;

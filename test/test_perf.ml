@@ -3,7 +3,7 @@
    disturb.
 
    The allocation tests measure [Gc.minor_words] deltas around complete
-   benchmark cells run with no tap, tracer, profiler or forensics
+   benchmark cells run with no tap, tracer or heap observer
    installed. They are amortized bounds, not literal zeroes: thread spawn,
    machine construction and the workload's own bookkeeping (the ops
    arrays, the result record) allocate, but the per-access cost must not —

@@ -135,7 +135,7 @@ let test_arena_extents () =
         (label ^ ": extents in tid order")
         true
         (List.sort compare st.arena_extents = st.arena_extents))
-    [ Simmem.Line_packed; Simmem.Line_isolated; Simmem.Cache_index_aware ]
+    [ Simmem.Line_packed; Simmem.Line_isolated ]
 
 let test_block_size () =
   let mem, ctx = make () in
