@@ -122,9 +122,10 @@ let run_trace file out =
     1
   | Ok a -> (
     let tracer = Obs.Tracer.create () in
-    Sim.set_default_tracer (Some (Obs.Tracer.process tracer ~name:a.art_scenario));
+    Sim.set_default_observer
+      (Some (Obs.Tracer.observe (Obs.Tracer.process tracer ~name:a.art_scenario)));
     let outcome = Explore.Search.replay_artifact a in
-    Sim.set_default_tracer None;
+    Sim.set_default_observer None;
     match outcome with
     | Error e ->
       err "explore trace: %s" e;

@@ -39,7 +39,7 @@ type t = { htm : Htm.t; sentinel : int }
 let create htm ctx (_cfg : Collect_intf.cfg) =
   let mem = Htm.mem htm in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"ListBaseline.header" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"ListBaseline.header" ~base:sentinel ~words:node_words;
   { htm; sentinel }
 
 let bump t ctx node d =
@@ -62,7 +62,7 @@ let register t ctx v =
     let next = Simmem.read mem ctx (prev + off_next) in
     if next = 0 then begin
       let node = Simmem.malloc mem ctx node_words in
-      Simmem.label mem ~name:"ListBaseline.node" ~base:node ~words:node_words;
+      Simmem.label mem ctx ~name:"ListBaseline.node" ~base:node ~words:node_words;
       Simmem.write mem ctx (node + off_val) v;
       Simmem.write mem ctx (node + off_state) st_claimed;
       if Simmem.cas mem ctx (prev + off_next) ~expected:0 ~desired:node then begin

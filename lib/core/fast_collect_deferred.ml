@@ -45,14 +45,14 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx 2 in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"ListFastDeferred.header" ~base:hdr ~words:2;
-  Simmem.label mem ~name:"ListFastDeferred.header" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"ListFastDeferred.header" ~base:hdr ~words:2;
+  Simmem.label mem ctx ~name:"ListFastDeferred.header" ~base:sentinel ~words:node_words;
   { htm; hdr; sentinel; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"ListFastDeferred.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"ListFastDeferred.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   Htm.atomic t.htm ctx (fun tx ->
       let first = Htm.read tx (t.sentinel + off_next) in

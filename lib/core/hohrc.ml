@@ -38,13 +38,13 @@ type t = {
 let create htm ctx (cfg : Collect_intf.cfg) =
   let mem = Htm.mem htm in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"ListHoHRC.header" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"ListHoHRC.header" ~base:sentinel ~words:node_words;
   { htm; sentinel; stepper = Stepper.make cfg.step ~max_step:((Htm.config htm).store_buffer - collect_overhead) }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"ListHoHRC.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"ListHoHRC.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   Htm.atomic t.htm ctx (fun tx ->
       let first = Htm.read tx (t.sentinel + off_next) in

@@ -21,7 +21,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let num_threads = max 1 cfg.num_threads in
   let slots_per_thread = max 1 (capacity / num_threads) in
   let arr = Simmem.malloc (Htm.mem htm) ctx capacity in
-  Simmem.label (Htm.mem htm) ~name:"StaticArray.slots" ~base:arr ~words:capacity;
+  Simmem.label (Htm.mem htm) ctx ~name:"StaticArray.slots" ~base:arr ~words:capacity;
   let free_slots =
     Array.init (Sim.max_threads + 1) (fun tid ->
         let base = tid * slots_per_thread in

@@ -50,6 +50,11 @@ let has_kills = function
 
 let watchdog_budget = 10_000_000
 
+(* A traced run observes its threads and, from the point where the
+   machine is built, the boot context that set it up and tears it down. *)
+let observe_boot boot trace =
+  Option.iter (fun tr -> Sim.set_observer boot (Some (Trace.observe tr))) trace
+
 let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
     (mk : Hqueue.Intf.maker) ~threads ~ops =
   let key = match key with Some k -> k | None -> "queue:" ^ mk.queue_name in
@@ -65,11 +70,7 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
       let boot = Sim.boot ~seed () in
       let q = mk.make htm boot ~num_threads:threads in
       let hist = Lin.create () in
-      (match trace with
-      | Some tr ->
-        Trace.attach_mem tr mem;
-        Trace.attach_htm tr htm
-      | None -> ());
+      observe_boot boot trace;
       let body i ctx =
         let rng = Sim.rng ctx in
         for k = 1 to ops do
@@ -91,7 +92,7 @@ let queue_lin ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.sc)
       in
       Sim.run ~seed ~strategy ?record
         ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
+        ?observe:(Option.map Trace.observe trace)
         ~watchdog:watchdog_budget
         (Array.init threads body);
       (match Lin.check hist with Ok () -> () | Error msg -> raise (Lin_violation msg));
@@ -119,7 +120,7 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
       let mem = Simmem.create ~model () in
       let boot = Sim.boot ~seed () in
       let addr = Simmem.malloc mem boot 1 in
-      (match trace with Some tr -> Trace.attach_mem tr mem | None -> ());
+      observe_boot boot trace;
       let window = (ops * 200) + 1000 in
       let body i ctx =
         Sim.advance_to ctx (i * window);
@@ -132,7 +133,7 @@ let racy_counter ?(model = Sim.Memmodel.sc) ~threads ~ops () =
       in
       Sim.run ~seed ~strategy ?record
         ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
+        ?observe:(Option.map Trace.observe trace)
         ~watchdog:watchdog_budget
         (Array.init threads body);
       let total = Simmem.peek mem addr in
@@ -170,11 +171,7 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
       in
       let inst = mk.make htm boot cfg in
       let log = Collect_spec.create () in
-      (match trace with
-      | Some tr ->
-        Trace.attach_mem tr mem;
-        Trace.attach_htm tr htm
-      | None -> ());
+      observe_boot boot trace;
       let body _i ctx =
         let rng = Sim.rng ctx in
         let h = Collect_spec.register log inst ctx in
@@ -190,7 +187,7 @@ let collect_spec ?key ?(htm_config = Htm.default_config) ?(model = Sim.Memmodel.
       in
       Sim.run ~seed ~strategy ?record
         ?faults:(Option.map Sim.Fault.make faults)
-        ?on_fault:(Option.map (fun tr ev -> Trace.on_fault tr ev) trace)
+        ?observe:(Option.map Trace.observe trace)
         ~watchdog:watchdog_budget
         (Array.init threads body);
       let (_ : Collect_spec.verdict) = Collect_spec.check log in

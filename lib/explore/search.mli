@@ -7,7 +7,7 @@
     and 4}, and (when enabled) every other adversarial round adds a
     kill-free stall/spurious fault plan. Each run records its scheduling
     decisions; on failure the sparse deviation list is verified to replay,
-    minimised with {!Shrink}, and replayed once more with taps attached to
+    minimised with {!Shrink}, and replayed once more under a {!Trace} to
     capture the interleaving — yielding a self-contained {!Artifact}. *)
 
 type violation = {

@@ -1,11 +1,11 @@
 (** Pretty-printed interleaving capture.
 
-    A trace is a bounded line buffer fed by the {!Simmem} access tap and
-    the {!Htm} transaction tap: one line per completed memory access or
-    transaction event, prefixed with the issuing thread and its virtual
-    clock. Attach both taps to the run that replays a shrunken failure and
-    the resulting lines are the per-thread timeline that goes into the
-    artifact file. *)
+    A trace is a bounded line buffer subscribed to the observation
+    stream ({!Obs.Event}): one line per completed memory access,
+    transaction event or injected fault, prefixed with the issuing
+    thread and its virtual clock. Observe the run that replays a
+    shrunken failure with {!observe} and the resulting lines are the
+    per-thread timeline that goes into the artifact file. *)
 
 type t
 
@@ -13,22 +13,12 @@ val create : ?limit:int -> unit -> t
 (** Line buffer capped at [limit] (default 4000); further events are
     counted, not stored. *)
 
-val note : t -> string -> unit
-(** Append one line (scenario-level annotations, e.g. operation brackets). *)
-
-val attach_mem : t -> Simmem.t -> unit
-(** Install this trace as the memory's access tap. *)
-
-val attach_htm : t -> Htm.t -> unit
-(** Install this trace as the HTM domain's transaction tap. *)
-
-val on_fault : t -> Sim.Fault.event -> unit
-(** Record one injected fault as a trace line; pass as [Sim.run]'s
-    [?on_fault] so injections land in the same stream as the accesses
-    and transactions they perturb. *)
+val observe : t -> Obs.Event.sink
+(** This trace as a subscriber: pass it as [Sim.run]'s [?observe] (and
+    to {!Sim.set_observer} for a boot context that acts on the machine
+    afterwards) so accesses, transactions and the faults that perturb
+    them land in one stream. *)
 
 val lines : t -> string list
 (** Captured lines in event order, with a final summary line when events
     were dropped. *)
-
-val to_string : t -> string

@@ -59,7 +59,7 @@ let deq_tx t tx =
 let create htm ctx =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx hdr_words in
-  Simmem.label mem ~name:"HtmQueue.header" ~base:hdr ~words:hdr_words;
+  Simmem.label mem ctx ~name:"HtmQueue.header" ~base:hdr ~words:hdr_words;
   let t =
     {
       htm;
@@ -77,7 +77,7 @@ let create htm ctx =
 let enqueue t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"HtmQueue.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"HtmQueue.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   t.enq_arg.(Sim.tid ctx) <- node;
   Htm.atomic t.htm ctx t.enq_body

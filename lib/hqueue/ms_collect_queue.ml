@@ -41,8 +41,8 @@ let create htm ctx ~num_threads =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx hdr_words in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+Collect.header" ~base:hdr ~words:hdr_words;
-  Simmem.label mem ~name:"MSQueue+Collect.node" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+Collect.header" ~base:hdr ~words:hdr_words;
+  Simmem.label mem ctx ~name:"MSQueue+Collect.node" ~base:sentinel ~words:node_words;
   Simmem.write mem ctx (hdr + hdr_head) sentinel;
   Simmem.write mem ctx (hdr + hdr_tail) sentinel;
   let announcements =
@@ -102,7 +102,7 @@ let retire t ctx node =
 let enqueue t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+Collect.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+Collect.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   let b = Sim.Backoff.create ctx in
   let retry loop =

@@ -68,9 +68,9 @@ let create htm ctx ~num_threads ~grace ~advance_every =
   let hdr = Simmem.malloc mem ctx hdr_words in
   let ann = Simmem.malloc mem ctx (num_threads + 1) in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+EBR.header" ~base:hdr ~words:hdr_words;
-  Simmem.label mem ~name:"MSQueue+EBR.epochs" ~base:ann ~words:(num_threads + 1);
-  Simmem.label mem ~name:"MSQueue+EBR.node" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+EBR.header" ~base:hdr ~words:hdr_words;
+  Simmem.label mem ctx ~name:"MSQueue+EBR.epochs" ~base:ann ~words:(num_threads + 1);
+  Simmem.label mem ctx ~name:"MSQueue+EBR.node" ~base:sentinel ~words:node_words;
   Simmem.write mem ctx (hdr + hdr_head) sentinel;
   Simmem.write mem ctx (hdr + hdr_tail) sentinel;
   Simmem.write mem ctx (hdr + hdr_epoch) 1;
@@ -205,7 +205,7 @@ let rec enq_loop t mem ctx node bound =
 let enqueue t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+EBR.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+EBR.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   enter t ctx;
   enq_loop t mem ctx node backoff_base;

@@ -45,7 +45,7 @@ let alloc_node t ctx =
   else begin
     let mem = Htm.mem t.htm in
     let node = Simmem.malloc mem ctx node_words in
-    Simmem.label mem ~name:"MSQueue.node" ~base:node ~words:node_words;
+    Simmem.label mem ctx ~name:"MSQueue.node" ~base:node ~words:node_words;
     node
   end
 
@@ -65,8 +65,8 @@ let create htm ctx =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx hdr_words in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue.header" ~base:hdr ~words:hdr_words;
-  Simmem.label mem ~name:"MSQueue.node" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue.header" ~base:hdr ~words:hdr_words;
+  Simmem.label mem ctx ~name:"MSQueue.node" ~base:sentinel ~words:node_words;
   Simmem.write mem ctx (hdr + hdr_head) (pack ~tag:0 ~ptr:sentinel);
   Simmem.write mem ctx (hdr + hdr_tail) (pack ~tag:0 ~ptr:sentinel);
   {

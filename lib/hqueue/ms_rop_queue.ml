@@ -74,10 +74,10 @@ let create htm ctx ~num_threads =
   let hdr = Simmem.malloc mem ctx hdr_words in
   let hz = Simmem.malloc mem ctx (hazards_per_thread * (num_threads + 1)) in
   let sentinel = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+ROP.header" ~base:hdr ~words:hdr_words;
-  Simmem.label mem ~name:"MSQueue+ROP.hazards" ~base:hz
+  Simmem.label mem ctx ~name:"MSQueue+ROP.header" ~base:hdr ~words:hdr_words;
+  Simmem.label mem ctx ~name:"MSQueue+ROP.hazards" ~base:hz
     ~words:(hazards_per_thread * (num_threads + 1));
-  Simmem.label mem ~name:"MSQueue+ROP.node" ~base:sentinel ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+ROP.node" ~base:sentinel ~words:node_words;
   Simmem.write mem ctx (hdr + hdr_head) sentinel;
   Simmem.write mem ctx (hdr + hdr_tail) sentinel;
   {
@@ -178,7 +178,7 @@ let rec enq_loop t mem ctx node bound =
 let enqueue t ctx v =
   let mem = Htm.mem t.htm in
   let node = Simmem.malloc mem ctx node_words in
-  Simmem.label mem ~name:"MSQueue+ROP.node" ~base:node ~words:node_words;
+  Simmem.label mem ctx ~name:"MSQueue+ROP.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
   enq_loop t mem ctx node backoff_base;
   announce t ctx 0 0

@@ -1,16 +1,14 @@
 module Adapt = Adapt
 
-type abort_reason = Conflict | Overflow | Illegal | Explicit | Lock_held | Spurious
+type abort_reason = Obs.Event.abort_reason =
+  | Conflict
+  | Overflow
+  | Illegal
+  | Explicit
+  | Lock_held
+  | Spurious
 
-let abort_label = function
-  | Conflict -> "conflict"
-  | Overflow -> "overflow"
-  | Illegal -> "illegal"
-  | Explicit -> "explicit"
-  | Lock_held -> "lock-held"
-  | Spurious -> "spurious"
-
-let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
+let pp_abort_reason ppf r = Format.pp_print_string ppf (Obs.Event.reason_label r)
 
 type tle_mode = Tle_never | Tle_after of int
 type stm_mode = Stm_never | Stm_after of int
@@ -74,10 +72,6 @@ let hybrid_config =
     tle = Tle_after 0;
   }
 
-type tx_path = P_hw | P_stm | P_tle
-
-let path_label = function P_hw -> "hw" | P_stm -> "stm" | P_tle -> "tle"
-
 type stats = {
   commits : int;
   aborts_conflict : int;
@@ -96,33 +90,6 @@ type stats = {
   stm_aborts : int;
   stm_steals : int;
 }
-
-type tx_event =
-  | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-  | Tx_abort of {
-      ab_reason : abort_reason;
-      ab_path : tx_path;
-      ab_attempt : int;
-      ab_witness : Obs.Forensics.witness option;
-    }
-  | Tx_fallback
-  | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-  | Tx_steal of { st_victim : int }
-
-let pp_tx_event ppf = function
-  | Tx_commit { tx_reads; tx_writes; tx_path; tx_attempt } ->
-    Format.fprintf ppf "commit[%s] (%d reads, %d writes, attempt %d)"
-      (path_label tx_path) tx_reads tx_writes tx_attempt
-  | Tx_abort { ab_reason; ab_path; ab_attempt; ab_witness } ->
-    Format.fprintf ppf "abort[%s]: %a (attempt %d)" (path_label ab_path)
-      pp_abort_reason ab_reason ab_attempt;
-    (match ab_witness with
-     | None -> ()
-     | Some w -> Format.fprintf ppf " [%a]" Obs.Forensics.pp_witness w)
-  | Tx_fallback -> Format.pp_print_string ppf "TLE lock fallback"
-  | Tx_escalate { esc_to; esc_attempt } ->
-    Format.fprintf ppf "escalate to %s (attempt %d)" (path_label esc_to) esc_attempt
-  | Tx_steal { st_victim } -> Format.fprintf ppf "stm lock stolen from t%d" st_victim
 
 (* Stats live in the metrics registry. The [stats] record type survives as
    a read-only snapshot assembled from the handles, so per-run consumers
@@ -152,7 +119,6 @@ type t = {
   h_stores : Obs.Metrics.hist;
   lock_addr : int;
   stm : Stm.t option;
-  mutable tap : (tid:int -> clock:int -> tx_event -> unit) option;
 }
 
 and mode = Hw | Sw of Stm.tx | Locked
@@ -172,10 +138,10 @@ and tx = {
   mutable nstores : int;
   mutable frees : int array;
   mutable nfrees : int;
-  mutable witness : Obs.Forensics.witness option;
+  mutable witness : Obs.Event.witness option;
       (* set at the capture site of the conflict that will abort this
          attempt; consumed (and cleared) by the abort handler *)
-  mutable last_w : Obs.Forensics.witness option;
+  mutable last_w : Obs.Event.witness option;
       (* witness of the most recent hardware abort, threaded into the
          escalation hop that it drives *)
 }
@@ -183,18 +149,12 @@ and tx = {
 exception Aborted of abort_reason
 exception Retry_exhausted of abort_reason
 
-let of_stm_reason = function
-  | Stm.Conflict -> Conflict
-  | Stm.Locked -> Lock_held
-  | Stm.Illegal -> Illegal
-  | Stm.Explicit -> Explicit
-
 let create ?(config = default_config) ?metrics mem =
   (* The TLE lock gets its own cache line so lock traffic does not
      false-share with application data. *)
   let boot = Sim.boot () in
   let lock_addr = Simmem.malloc mem boot 8 in
-  Simmem.label mem ~name:"Htm.tle_lock" ~base:lock_addr ~words:8;
+  Simmem.label mem boot ~name:"Htm.tle_lock" ~base:lock_addr ~words:8;
   (* The STM side table is only allocated when a policy can reach it, so
      default-configured machines keep their exact heap layout (and hence
      their committed benchmark baselines) bit-for-bit. *)
@@ -207,75 +167,35 @@ let create ?(config = default_config) ?metrics mem =
       Some s
   in
   let mreg = Obs.Metrics.create ?parent:metrics () in
-  let h =
-    {
-      hmem = mem;
-      cfg = config;
-      pool = Array.make (Sim.max_threads + 1) None;
-      mreg;
-      c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
-      c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
-      c_overflow = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.overflow";
-      c_illegal = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.illegal";
-      c_explicit = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.explicit";
-      c_lock = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.lock_held";
-      c_spurious = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.spurious";
-      c_fallbacks = Obs.Metrics.counter mreg "htm.fallbacks";
-      c_cycles = Obs.Metrics.counter mreg "htm.commit_cycles_total";
-      c_att_hw = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.hw";
-      c_att_stm = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.stm";
-      c_att_tle = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.tle";
-      c_esc_stm = Obs.Metrics.counter mreg "htm.escalations.stm";
-      g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts";
-      h_commit = Obs.Metrics.hist mreg "htm.commit_cycles";
-      h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
-      lock_addr;
-      stm;
-      tap = None;
-    }
-  in
-  (* Forward STM transaction events into this domain's tap, path-tagged,
-     so one stream carries the whole escalation story. *)
-  (match stm with
-   | None -> ()
-   | Some s ->
-     Stm.set_tap s
-       (Some
-          (fun ~tid ~clock ev ->
-            match h.tap with
-            | None -> ()
-            | Some f ->
-              f ~tid ~clock
-                (match ev with
-                 | Stm.Ev_commit { ev_reads; ev_writes; ev_attempt } ->
-                   Tx_commit
-                     {
-                       tx_reads = ev_reads;
-                       tx_writes = ev_writes;
-                       tx_path = P_stm;
-                       tx_attempt = ev_attempt;
-                     }
-                 | Stm.Ev_abort { ev_reason; ev_attempt; ev_witness } ->
-                   Tx_abort
-                     {
-                       ab_reason = of_stm_reason ev_reason;
-                       ab_path = P_stm;
-                       ab_attempt = ev_attempt;
-                       ab_witness = ev_witness;
-                     }
-                 | Stm.Ev_steal { ev_victim } -> Tx_steal { st_victim = ev_victim }))));
-  h
+  {
+    hmem = mem;
+    cfg = config;
+    pool = Array.make (Sim.max_threads + 1) None;
+    mreg;
+    c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
+    c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
+    c_overflow = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.overflow";
+    c_illegal = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.illegal";
+    c_explicit = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.explicit";
+    c_lock = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.lock_held";
+    c_spurious = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.spurious";
+    c_fallbacks = Obs.Metrics.counter mreg "htm.fallbacks";
+    c_cycles = Obs.Metrics.counter mreg "htm.commit_cycles_total";
+    c_att_hw = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.hw";
+    c_att_stm = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.stm";
+    c_att_tle = Obs.Metrics.counter ~per_thread:true mreg "htm.attempts.tle";
+    c_esc_stm = Obs.Metrics.counter mreg "htm.escalations.stm";
+    g_consec = Obs.Metrics.gauge mreg "htm.max_consecutive_aborts";
+    h_commit = Obs.Metrics.hist mreg "htm.commit_cycles";
+    h_stores = Obs.Metrics.hist mreg "htm.stores_per_tx";
+    lock_addr;
+    stm;
+  }
 
 let mem t = t.hmem
 let config t = t.cfg
 let metrics t = t.mreg
 let stm t = t.stm
-let set_tap t f = t.tap <- f
-
-let emit t ctx ev =
-  match t.tap with
-  | None -> ()
-  | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
 
 let stats t =
   let s_stats = Option.map Stm.stats t.stm in
@@ -594,14 +514,8 @@ let run_locked h ctx tx attempt f =
   acquire_lock h ctx;
   Obs.Metrics.incr1 h.c_fallbacks;
   Obs.Metrics.incr_t h.c_att_tle (Sim.tid ctx);
-  emit h ctx Tx_fallback;
   let t_lock = Sim.clock ctx in
-  (match Sim.tracer ctx with
-   | None -> ()
-   | Some sink ->
-     Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"tle.fallback" ~cat:"tx"
-       ~args:[ ("attempt", Obs.Json.Int attempt) ]
-       t_lock);
+  if Sim.observed ctx then Sim.emit ctx (Obs.Event.Fallback { attempt });
   reset_tx tx Locked attempt;
   (* Crash safety: the lock must be released on every exit path — including
      an injected kill raising [Stop_thread] out of the block — and the
@@ -613,40 +527,33 @@ let run_locked h ctx tx attempt f =
     if not !released then begin
       released := true;
       Sim.shield ctx (fun () -> release_lock h ctx);
-      match Sim.tracer ctx with
-      | None -> ()
-      | Some sink ->
-        Obs.Tracer.span sink ~tid:(Sim.tid ctx) ~name:"tx.locked" ~cat:"tx"
-          ~args:[ ("attempt", Obs.Json.Int attempt) ]
-          t_lock (Sim.clock ctx)
+      if Sim.observed ctx then Sim.emit ctx (Obs.Event.Release { attempt; start = t_lock })
     end
   in
   Fun.protect ~finally:release (fun () ->
       let v = f tx in
       release ();
       run_frees tx;
-      emit h ctx
-        (Tx_commit { tx_reads = 0; tx_writes = 0; tx_path = P_tle; tx_attempt = attempt });
+      if Sim.observed ctx then
+        Sim.emit ctx
+          (Obs.Event.Commit { path = Tle; attempt; start = t_lock; reads = 0; writes = 0 });
       v)
+
+(* One hop down the degradation lattice, with the abort that drove it. *)
+let escalate ctx ~from_path ~to_path ~attempt ~reason witness =
+  if Sim.observed ctx then
+    Sim.emit ctx (Obs.Event.Escalate { from_path; to_path; attempt; reason; witness })
 
 (* The software slow path: run the block as an STM transaction (same [tx]
    surface, [Sw] mode), with the configured attempt budget. If the budget
    runs dry and TLE is enabled, the lock is the last resort. *)
 let run_stm h s ctx tx n ~last ~lastw f on_abort =
   Obs.Metrics.incr1 h.c_esc_stm;
-  Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"stm"
-    ~reason:(abort_label last) lastw;
-  emit h ctx (Tx_escalate { esc_to = P_stm; esc_attempt = n });
-  (match Sim.tracer ctx with
-   | None -> ()
-   | Some sink ->
-     Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:"stm.escalate" ~cat:"tx"
-       ~args:[ ("attempt", Obs.Json.Int n) ]
-       (Sim.clock ctx));
+  escalate ctx ~from_path:Hw ~to_path:Stm ~attempt:n ~reason:last lastw;
   let tid = Sim.tid ctx in
   match
     Stm.atomic s ctx ~max_attempts:h.cfg.stm_attempts
-      ~on_abort:(fun r -> on_abort (of_stm_reason r))
+      ~on_abort:(fun r -> on_abort (Stm.event_reason r))
       (fun stx ->
         Obs.Metrics.incr_t h.c_att_stm tid;
         reset_tx tx (Sw stx) n;
@@ -655,13 +562,11 @@ let run_stm h s ctx tx n ~last ~lastw f on_abort =
   | v -> v
   | exception Stm.Retry_exhausted r ->
     if (match h.cfg.tle with Tle_never -> false | Tle_after _ -> true) then begin
-      emit h ctx (Tx_escalate { esc_to = P_tle; esc_attempt = n });
-      Simmem.note_hop h.hmem ctx ~from_path:"stm" ~to_path:"tle"
-        ~reason:(abort_label (of_stm_reason r))
+      escalate ctx ~from_path:Stm ~to_path:Tle ~attempt:n ~reason:(Stm.event_reason r)
         (Stm.last_witness s ctx);
       run_locked h ctx tx n f
     end
-    else raise (Retry_exhausted (of_stm_reason r))
+    else raise (Retry_exhausted (Stm.event_reason r))
 
 (* Success bookkeeping, shared by all three paths: escalation stats,
    cycles-to-commit, and a liveness-watchdog note. *)
@@ -675,7 +580,7 @@ let finish h ctx t0 n =
    so a pooled transaction's whole fast path — begin, body, commit —
    allocates nothing: one [atomic] call is a handful of array stores and
    unboxed arithmetic unless it aborts or escalates. *)
-let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
+let rec attempt_loop h ctx tx f on_abort tid t0 n last =
   (* Escalation policy. Capacity aborts go straight to the software
      path — no hardware retry can ever fit an overflowing write set —
      while conflicts buy [m] backed-off hardware retries first. *)
@@ -702,8 +607,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     | None -> assert false
   end
   else if use_lock then begin
-    Simmem.note_hop h.hmem ctx ~from_path:"hw" ~to_path:"tle"
-      ~reason:(abort_label last) tx.last_w;
+    escalate ctx ~from_path:Hw ~to_path:Tle ~attempt:n ~reason:last tx.last_w;
     let v = run_locked h ctx tx n f in
     finish h ctx t0 n;
     v
@@ -743,23 +647,10 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
     | v ->
       Obs.Metrics.incr_t h.c_commits tid;
       Obs.Metrics.observe h.h_stores tx.nstores;
-      (match h.tap with
-       | None -> ()
-       | Some _ ->
-         emit h ctx
-           (Tx_commit
-              { tx_reads = tx.nreads; tx_writes = tx.nwrites; tx_path = P_hw; tx_attempt = n }));
-      (match tr with
-       | None -> ()
-       | Some sink ->
-         Obs.Tracer.span sink ~tid ~name:"tx" ~cat:"tx"
-           ~args:
-             [
-               ("attempt", Obs.Json.Int n);
-               ("reads", Obs.Json.Int tx.nreads);
-               ("writes", Obs.Json.Int tx.nwrites);
-             ]
-           t_att (Sim.clock ctx));
+      if Sim.observed ctx then
+        Sim.emit ctx
+          (Obs.Event.Commit
+             { path = Hw; attempt = n; start = t_att; reads = tx.nreads; writes = tx.nwrites });
       run_frees tx;
       finish h ctx t0 n;
       v
@@ -779,24 +670,10 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
         | _, None -> None
       in
       tx.witness <- None;
-      (match w with Some wit -> Simmem.record_witness h.hmem ctx wit | None -> ());
       tx.last_w <- w;
-      (match h.tap with
-       | None -> ()
-       | Some _ ->
-         emit h ctx
-           (Tx_abort { ab_reason = r; ab_path = P_hw; ab_attempt = n; ab_witness = w }));
-      (match tr with
-       | None -> ()
-       | Some sink ->
-         let t_ab = Sim.clock ctx in
-         Obs.Tracer.span sink ~tid ~name:"tx.attempt" ~cat:"tx"
-           ~args:[ ("attempt", Obs.Json.Int n) ]
-           t_att t_ab;
-         Obs.Tracer.instant sink ~tid ~name:"tx.abort" ~cat:"tx"
-           ~args:
-             [ ("reason", Obs.Json.Str (abort_label r)); ("attempt", Obs.Json.Int n) ]
-           t_ab);
+      if Sim.observed ctx then
+        Sim.emit ctx
+          (Obs.Event.Abort { path = Hw; attempt = n; start = t_att; reason = r; witness = w });
       Sim.tick ctx h.cfg.tx_abort_cost;
       on_abort r;
       (* A capacity overflow cannot succeed on hardware retry; when the
@@ -805,7 +682,7 @@ let rec attempt_loop h ctx tx f on_abort tr tid t0 n last =
       (match r, h.cfg.stm, h.stm with
        | Overflow, Stm_after _, Some _ -> ()
        | _ -> backoff h ctx n);
-      attempt_loop h ctx tx f on_abort tr tid t0 (n + 1) r
+      attempt_loop h ctx tx f on_abort tid t0 (n + 1) r
   end
 
 let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
@@ -814,8 +691,7 @@ let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
   tx.last_w <- None;
   let t0 = Sim.clock ctx in
   let tid = Sim.tid ctx in
-  let tr = Sim.tracer ctx in
-  match attempt_loop h ctx tx f on_abort tr tid t0 0 Conflict with
+  match attempt_loop h ctx tx f on_abort tid t0 0 Conflict with
   | v ->
     tx.busy <- false;
     v

@@ -40,7 +40,7 @@
 
 module Adapt = Adapt
 
-type abort_reason =
+type abort_reason = Obs.Event.abort_reason =
   | Conflict  (** read-set validation failed *)
   | Overflow  (** store-buffer capacity exceeded *)
   | Illegal  (** sandboxed access to freed/unmapped memory *)
@@ -118,11 +118,6 @@ val hybrid_config : config
 (** The full degradation lattice: [Stm_after 2] (capacity immediately),
     [stm_attempts = 8], TLE as last resort. *)
 
-(** Which of the three execution paths an event happened on. *)
-type tx_path = P_hw | P_stm | P_tle
-
-val path_label : tx_path -> string
-
 type stats = {
   commits : int;  (** hardware commits *)
   aborts_conflict : int;
@@ -173,35 +168,16 @@ val reset_stats : t -> unit
 (** Reset this domain's local metrics, including the STM side table's (a
     parent registry, if chained, keeps its accumulated totals). *)
 
-(** Transaction-event tap, for trace capture by the schedule explorer
-    ([lib/explore]): commits (with read/write-set sizes), aborts (with
-    reason), escalations and TLE lock fallbacks, each attributed to the
-    execution path it happened on — the tap stream is exact, so per-path
-    histograms can be built from it alone. STM-path events (including
-    lock steals) are forwarded into this stream automatically. Costs
-    nothing when unset. *)
+(** {1 Observation}
 
-type tx_event =
-  | Tx_commit of { tx_reads : int; tx_writes : int; tx_path : tx_path; tx_attempt : int }
-  | Tx_abort of {
-      ab_reason : abort_reason;
-      ab_path : tx_path;
-      ab_attempt : int;
-      ab_witness : Obs.Forensics.witness option;
-          (** the conflict witness captured at the failing validation (or
-              synthesized against the TLE lock word for lock-held
-              aborts); rendered by {!pp_tx_event}, so explorer
-              counterexample traces carry abort attribution *)
-    }
-  | Tx_fallback  (** TLE lock acquired *)
-  | Tx_escalate of { esc_to : tx_path; esc_attempt : int }
-  | Tx_steal of { st_victim : int }
-      (** an STM versioned lock was stolen from (crashed) thread
-          [st_victim] *)
-
-val pp_tx_event : Format.formatter -> tx_event -> unit
-
-val set_tap : t -> (tid:int -> clock:int -> tx_event -> unit) option -> unit
+    Every transaction event reports through the acting context's
+    observer ({!Sim.emit}), attributed to the execution path it happened
+    on: commits (with read/write-set sizes), aborts (with reason and the
+    conflict witness captured at the failing validation — synthesized
+    against the TLE lock word for lock-held aborts), escalations
+    (hardware → STM → TLE, each with the abort that drove it), TLE lock
+    acquisition and release, and STM lock steals. The stream is exact,
+    so per-path histograms can be built from it alone. *)
 
 val commit_cycles_histogram : t -> (int * int) list
 (** Log-2 histogram of cycles-to-commit: [(2{^i}, count)] pairs, where a

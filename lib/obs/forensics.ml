@@ -1,20 +1,8 @@
-type witness = {
-  w_victim : int;
-  w_aggressor : int;
-  w_addr : int;
-  w_line : int;
-  w_victim_wrote : bool;
-  w_read_set : bool;
-  w_write_set : bool;
-  w_op : string;
-  w_aggressor_clock : int;
-  w_clock : int;
-  w_site : string;
-}
+type witness = Event.witness
 
-let access_label w = if w.w_victim_wrote then "W/W" else "R/W"
+let access_label (w : witness) = if w.w_victim_wrote then "W/W" else "R/W"
 
-let pp_witness ppf w =
+let pp_witness ppf (w : witness) =
   let agg =
     if w.w_aggressor < 0 then "?" else Printf.sprintf "t%d" w.w_aggressor
   in
@@ -126,7 +114,7 @@ let bump tbl key =
   | Some r -> incr r
   | None -> Hashtbl.add tbl key (ref 1)
 
-let record t w =
+let record t (w : witness) =
   t.total <- t.total + 1;
   let ekey = (w.w_victim, w.w_aggressor) in
   let e =
@@ -160,6 +148,20 @@ let note_hop t ~tid ~clock ~from_path ~to_path ~reason witness =
       :: t.rev_hops;
     t.nhops <- t.nhops + 1
   end
+
+(* The simulator's one entry point: each fact updates the per-line
+   table or the timelines; the rest of the stream is not the heap's
+   business. *)
+let observe t ~tid ~clock (ev : Event.t) =
+  match ev with
+  | Miss { line; wait; cost; sharers; _ } -> record_transfer t ~line ~wait ~cost ~sharers
+  | Label { name; base; words } -> label t ~name ~base ~words
+  | Access (Malloc { base; words }) -> note_alloc t ~base ~words ~tid ~clock
+  | Witness w | Abort { witness = Some w; _ } -> record t w
+  | Escalate { from_path; to_path; reason; witness; _ } ->
+    note_hop t ~tid ~clock ~from_path:(Event.path_label from_path)
+      ~to_path:(Event.path_label to_path) ~reason:(Event.reason_label reason) witness
+  | Run _ | Fault _ | Access _ | Commit _ | Abort _ | Fallback _ | Release _ | Steal _ -> ()
 
 let count t = t.total
 let hop_count t = t.hop_total
@@ -401,7 +403,7 @@ let print_transfers ?(top = 16) ppf t =
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)
 
-let witness_json w =
+let witness_json (w : witness) =
   Json.Obj
     [
       ("victim", Json.Int w.w_victim);

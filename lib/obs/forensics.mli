@@ -1,45 +1,33 @@
 (** The per-machine heap observer: coherence traffic, conflict
     witnesses and abort attribution over one per-cache-line table.
 
-    The simulated memory reports every coherence transfer (a read or
-    write miss that pulled the line from another core, plus the cycles
-    the requester spent queued behind earlier transfers of the same
-    line), every allocation, and every {e witness}: the moment a
-    coherence invalidation (or version-check failure) dooms a
-    transaction — who was the victim, which thread's committed write was
-    the aggressor, which address and line they collided on, and whether
-    the victim had the line in its read- or write-set. Data-structure
-    implementations {!label} the address ranges they allocate
-    ("ListHoHRC.header", "MSQueue+ROP.node", ...). Aggregating answers
-    the questions raw abort counters cannot: {e which threads} fight,
-    over {e which lines}, belonging to {e which} labelled region and
-    produced by {e which} allocation — and which lines ping-pong.
+    A subscriber of the observation stream ({!observe}): it aggregates
+    every coherence transfer (a read or write miss that pulled the line
+    from another core, plus the cycles the requester spent queued behind
+    earlier transfers of the same line), every allocation and region
+    label, every {e witness} — the moment a coherence invalidation (or
+    version-check failure) dooms a transaction or a CAS: who was the
+    victim, which thread's committed write was the aggressor, which
+    address and line they collided on, and whether the victim had the
+    line in its read- or write-set — and every escalation hop.
+    Data-structure implementations label the address ranges they
+    allocate ("ListHoHRC.header", "MSQueue+ROP.node", ...). Aggregating
+    answers the questions raw abort counters cannot: {e which threads}
+    fight, over {e which lines}, belonging to {e which} labelled region
+    and produced by {e which} allocation — and which lines ping-pong.
 
     Lines are 8 words, the geometry of every simulated heap.
 
-    Like the tracer, observation is pure OCaml-side bookkeeping:
-    recording charges zero virtual cycles, consumes no simulator RNG and
-    never perturbs scheduling, so an instrumented run is cycle-for-cycle
-    identical to a bare one.
+    Observation is pure OCaml-side bookkeeping: it charges zero virtual
+    cycles, consumes no simulator RNG and never perturbs scheduling, so
+    an instrumented run is cycle-for-cycle identical to a bare one.
 
     All accessors return canonically sorted data and {!to_json} is
     deterministic, so artifacts built from observers merged in a fixed
     (canonical) cell order are byte-identical regardless of host
     parallelism. *)
 
-type witness = {
-  w_victim : int;  (** aborting thread *)
-  w_aggressor : int;  (** thread whose write invalidated it; -1 unknown *)
-  w_addr : int;  (** conflicting word address *)
-  w_line : int;  (** [w_addr lsr line_shift] *)
-  w_victim_wrote : bool;  (** true: W/W conflict; false: R/W *)
-  w_read_set : bool;  (** address was in the victim's read-set *)
-  w_write_set : bool;  (** address was in the victim's write-set *)
-  w_op : string;  (** aggressor op: store/atomic/commit/malloc/free/lock/? *)
-  w_aggressor_clock : int;  (** aggressor's clock at its write; -1 unknown *)
-  w_clock : int;  (** victim's virtual clock at capture *)
-  w_site : string;  (** capture site, e.g. "htm.read", "stm.commit" *)
-}
+type witness = Event.witness
 
 val access_label : witness -> string
 (** ["W/W"] or ["R/W"]. *)
@@ -62,36 +50,16 @@ val create : ?max_hops:int -> unit -> t
 (** [max_hops] bounds the stored escalation timeline (default 256) — the
     total is still counted past the bound. *)
 
-(** {1 Recording} *)
-
-val label : t -> name:string -> base:int -> words:int -> unit
-(** Name the lines covering [\[base, base+words)]. Labels accumulate per
-    line and are deduplicated, so allocation hot loops can label every
-    block unconditionally. Freeing is not tracked: a line used by several
-    regions over its lifetime reports all their names, joined with
-    [" + "] — a direct false-sharing indicator. *)
-
-val note_alloc : t -> base:int -> words:int -> tid:int -> clock:int -> unit
-(** Record allocation provenance for the covered lines: which thread
-    allocated into them, when, and how many times over the run. *)
-
-val record_transfer : t -> line:int -> wait:int -> cost:int -> sharers:int -> unit
-(** One coherence transfer of [line]: [wait] cycles spent queued behind
-    earlier transfers, [cost] total cycles charged for the miss,
-    [sharers] the number of caches holding the line at request time. *)
-
-val record : t -> witness -> unit
-
-val note_hop :
-  t ->
-  tid:int ->
-  clock:int ->
-  from_path:string ->
-  to_path:string ->
-  reason:string ->
-  witness option ->
-  unit
-(** One escalation step in a transaction's fallback lattice. *)
+val observe : t -> Event.sink
+(** The observer's event handler. [Miss] events add a coherence
+    transfer to their line; [Label] names the lines covering its range
+    (labels accumulate per line and are deduplicated; a line used by
+    several regions over its lifetime reports all their names, joined
+    with [" + "] — a direct false-sharing indicator); [Malloc] accesses
+    record allocation provenance (thread, clock, count) for the covered
+    lines; every witness — of a [Witness] or an [Abort] — joins the
+    conflict graph and the hot-line ranking; [Escalate] appends one hop
+    to the escalation timeline. Other events are ignored. *)
 
 (** {1 Aggregates}
 

@@ -35,8 +35,6 @@ let process t ~name =
   t.rev_procs <- (t.next_pid, name) :: t.rev_procs;
   { tr = t; pid = t.next_pid }
 
-let sink_pid s = s.pid
-
 let push t e =
   t.ring.(t.total mod Array.length t.ring) <- e;
   t.total <- t.total + 1
@@ -68,6 +66,77 @@ let flow_finish s ~tid ~name ?(cat = "") ?(args = []) ~id t =
 let thread_name s ~tid name =
   let seen = List.exists (fun (p, t, n) -> p = s.pid && t = tid && n = name) s.tr.rev_threads in
   if not seen then s.tr.rev_threads <- (s.pid, tid, name) :: s.tr.rev_threads
+
+let attempt n = ("attempt", Json.Int n)
+
+(* The flow arrow from the aggressor's committed write to the victim's
+   abort point; drawn only when the journal resolved the aggressor. *)
+let conflict_flow s (w : Event.witness) =
+  if w.w_aggressor >= 0 && w.w_aggressor_clock >= 0 then begin
+    let id = flow_id s in
+    let args = [ ("addr", Json.Int w.w_addr); ("site", Json.Str w.w_site) ] in
+    flow_start s ~tid:w.w_aggressor ~name:"conflict" ~cat:"forensics" ~args ~id
+      w.w_aggressor_clock;
+    flow_finish s ~tid:w.w_victim ~name:"conflict" ~cat:"forensics" ~args ~id w.w_clock
+  end
+
+let observe s ~tid ~clock (ev : Event.t) =
+  match ev with
+  | Run { start } -> span s ~tid ~name:"run" ~cat:"sched" start clock
+  | Fault f ->
+    let name, args =
+      match f with
+      | Stalled d -> ("fault.stall", [ ("cycles", Json.Int d) ])
+      | Killed -> ("fault.kill", [])
+      | Killed_at p -> ("fault.kill", [ ("point", Json.Str p) ])
+      | Spurious_abort -> ("fault.spurious", [])
+    in
+    instant s ~tid ~name ~cat:"fault" ~args clock
+  | Miss { write; addr; cost; wait; sharers; _ } ->
+    instant s ~tid
+      ~name:(if write then "miss.write" else "miss.read")
+      ~cat:"mem"
+      ~args:
+        [
+          ("addr", Json.Int addr);
+          ("cost", Json.Int cost);
+          ("wait", Json.Int wait);
+          ("sharers", Json.Int sharers);
+        ]
+      clock
+  | Witness w -> conflict_flow s w
+  | Commit { path = Tle; _ } -> ()
+  | Commit { path; attempt = n; start; reads; writes } ->
+    span s ~tid
+      ~name:(match path with Stm -> "tx.stm" | Hw | Tle -> "tx")
+      ~cat:"tx"
+      ~args:[ attempt n; ("reads", Json.Int reads); ("writes", Json.Int writes) ]
+      start clock
+  | Abort { path; attempt = n; start; reason; witness } ->
+    Option.iter (conflict_flow s) witness;
+    (match path with
+     | Stm ->
+       (* the software path's own name for a held stripe *)
+       let r = match reason with Lock_held -> "locked" | r -> Event.reason_label r in
+       instant s ~tid ~name:"tx.stm.abort" ~cat:"tx"
+         ~args:[ ("reason", Json.Str r); attempt n ]
+         clock
+     | Hw | Tle ->
+       span s ~tid ~name:"tx.attempt" ~cat:"tx" ~args:[ attempt n ] start clock;
+       instant s ~tid ~name:"tx.abort" ~cat:"tx"
+         ~args:[ ("reason", Json.Str (Event.reason_label reason)); attempt n ]
+         clock)
+  | Fallback { attempt = n } ->
+    instant s ~tid ~name:"tle.fallback" ~cat:"tx" ~args:[ attempt n ] clock
+  | Release { attempt = n; start } ->
+    span s ~tid ~name:"tx.locked" ~cat:"tx" ~args:[ attempt n ] start clock
+  | Escalate { to_path = Stm; attempt = n; _ } ->
+    instant s ~tid ~name:"stm.escalate" ~cat:"tx" ~args:[ attempt n ] clock
+  | Steal { victim; locks } ->
+    instant s ~tid ~name:"stm.steal" ~cat:"tx"
+      ~args:[ ("victim", Json.Int victim); ("locks", Json.Int locks) ]
+      clock
+  | Access _ | Label _ | Escalate _ -> ()
 
 let recorded t = t.total
 let dropped t = max 0 (t.total - Array.length t.ring)

@@ -36,8 +36,6 @@ val process : t -> name:string -> sink
 (** Attach a new process (pid = attachment order, from 1) named [name] in
     the exported timeline. *)
 
-val sink_pid : sink -> int
-
 val span :
   sink ->
   tid:int ->
@@ -98,6 +96,18 @@ val flow_finish :
 val thread_name : sink -> tid:int -> string -> unit
 (** Label thread [tid]'s track; kept outside the ring (never dropped) and
     deduplicated, so re-labelling across runs is free. *)
+
+val observe : sink -> Event.sink
+(** The Chrome-trace renderer: subscribe a process to the observation
+    stream. Run slices become ["run"] spans; transaction attempts
+    ["tx"] / ["tx.stm"] / ["tx.attempt"] spans with ["tx.abort"] /
+    ["tx.stm.abort"] instants; the TLE lock a ["tle.fallback"] instant
+    and a ["tx.locked"] span; escalations to the software path
+    ["stm.escalate"] and lock steals ["stm.steal"] instants; coherence
+    transfers ["miss.read"] / ["miss.write"] instants; faults
+    ["fault.*"] instants; and every witness whose aggressor is known a
+    ["conflict"] flow pair from the aggressor's write to the victim.
+    Accesses, labels and hops are not drawn. *)
 
 val recorded : t -> int
 (** Total events ever recorded (including overwritten ones). *)

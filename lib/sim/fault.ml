@@ -31,7 +31,11 @@ let none =
     spurious_abort_rate = 0.0;
   }
 
-type event_kind = Stalled of int | Killed | Killed_at of string | Spurious_abort
+type event_kind = Obs.Event.fault =
+  | Stalled of int
+  | Killed
+  | Killed_at of string
+  | Spurious_abort
 
 type event = { ev_tid : int; ev_clock : int; ev_kind : event_kind }
 

@@ -40,7 +40,11 @@ type spec = {
 val none : spec
 (** No faults at all; the identity plan. *)
 
-type event_kind = Stalled of int | Killed | Killed_at of string | Spurious_abort
+type event_kind = Obs.Event.fault =
+  | Stalled of int
+  | Killed
+  | Killed_at of string
+  | Spurious_abort
 
 type event = { ev_tid : int; ev_clock : int; ev_kind : event_kind }
 

@@ -76,11 +76,11 @@ and tctx = {
   mutable faults : Fault.t option;
   mutable shield_depth : int;
   mutable last_progress : int;
-  (* Observability taps. Pure OCaml-side bookkeeping: recording charges no
-     virtual cycles, draws no simulator RNG and never forces exploring
-     mode, so a traced run is cycle-identical to an untraced one. *)
-  mutable ctx_tracer : Obs.Tracer.sink option;
-  mutable ctx_on_fault : (Fault.event -> unit) option;
+  (* The observation stream this thread reports to. Pure OCaml-side
+     bookkeeping: emitting charges no virtual cycles, draws no simulator
+     RNG and never forces exploring mode, so an observed run is
+     cycle-identical to a bare one. *)
+  mutable ctx_obs : Obs.Event.sink option;
   (* Drain hooks installed by memory layers with store buffers ({!Simmem}):
      [fence] runs them with [~terminal:false]; thread termination (normal
      return or a kill) runs them with [~terminal:true], where they must not
@@ -145,17 +145,16 @@ and recorder = {
   mutable rev_choices : (int * int * int) list;
 }
 
-(* The ambient tracer sink: consulted by [run] and [boot] when no explicit
-   [?tracer] is given. The benchmark driver points it at the current
-   machine's process sink so workloads that call [Sim.run] directly are
-   traced without threading a sink through every signature. *)
-(* Domain-local: worker domains of the benchmark runner install their
+(* The ambient observer: consulted by [run] and [boot] when no explicit
+   [?observe] is given. The benchmark driver points it at the current
+   machine's subscribers so workloads that call [Sim.run] directly are
+   observed without threading a sink through every signature.
+   Domain-local: worker domains of the benchmark runner install their
    own sinks without racing the main domain (or each other). *)
-let ambient_tracer : Obs.Tracer.sink option Domain.DLS.key =
+let ambient_observer : Obs.Event.sink option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let set_default_tracer s = Domain.DLS.set ambient_tracer s
-let default_tracer () = Domain.DLS.get ambient_tracer
+let set_default_observer s = Domain.DLS.set ambient_observer s
 
 let boot ?(seed = 0) () =
   {
@@ -166,16 +165,18 @@ let boot ?(seed = 0) () =
     faults = None;
     shield_depth = 0;
     last_progress = 0;
-    ctx_tracer = Domain.DLS.get ambient_tracer;
-    ctx_on_fault = None;
+    ctx_obs = Domain.DLS.get ambient_observer;
     ctx_drains = [];
   }
 
 let tid ctx = ctx.ctx_tid
 let clock ctx = ctx.clock
 let rng ctx = ctx.ctx_rng
-let tracer ctx = ctx.ctx_tracer
-let set_tracer ctx s = ctx.ctx_tracer <- s
+let set_observer ctx s = ctx.ctx_obs <- s
+let observed ctx = match ctx.ctx_obs with None -> false | Some _ -> true
+
+let emit ctx ev =
+  match ctx.ctx_obs with None -> () | Some f -> f ~tid:ctx.ctx_tid ~clock:ctx.clock ev
 
 let yield_count = ref 0
 let yield () = incr yield_count; Effect.perform Yield
@@ -185,21 +186,7 @@ let yield () = incr yield_count; Effect.perform Yield
    past the interval other threads get to run in, and a kill terminates
    the thread exactly as [stop] would — mid-operation, with whatever
    partial non-transactional effects it had already applied. *)
-let observe_fault ctx kind =
-  (match ctx.ctx_tracer with
-   | None -> ()
-   | Some sink ->
-     let name, args =
-       match kind with
-       | Fault.Stalled d -> ("fault.stall", [ ("cycles", Obs.Json.Int d) ])
-       | Fault.Killed -> ("fault.kill", [])
-       | Fault.Killed_at p -> ("fault.kill", [ ("point", Obs.Json.Str p) ])
-       | Fault.Spurious_abort -> ("fault.spurious", [])
-     in
-     Obs.Tracer.instant sink ~tid:ctx.ctx_tid ~name ~cat:"fault" ~args ctx.clock);
-  match ctx.ctx_on_fault with
-  | None -> ()
-  | Some f -> f { Fault.ev_tid = ctx.ctx_tid; ev_clock = ctx.clock; ev_kind = kind }
+let observe_fault ctx kind = emit ctx (Obs.Event.Fault kind)
 
 let inject ctx =
   match ctx.faults with
@@ -543,8 +530,8 @@ let diagnose s frontier =
    | Some f -> Buffer.add_string b (f ()));
   Buffer.contents b
 
-let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tracer
-    ?on_fault bodies =
+let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?observe
+    bodies =
   let n = Array.length bodies in
   if n = 0 || n > max_threads then
     invalid_arg "Sim.run: need between 1 and 256 threads";
@@ -553,7 +540,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
   in
   if exploring && n > mask_threads then
     invalid_arg "Sim.run: exploring strategies and recording support at most 61 threads";
-  let sink = match tracer with Some _ -> tracer | None -> Domain.DLS.get ambient_tracer in
+  let obs = match observe with Some _ -> observe | None -> Domain.DLS.get ambient_observer in
   let root = Rng.create seed in
   let ctxs =
     Array.init n (fun i ->
@@ -565,8 +552,7 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
           faults;
           shield_depth = 0;
           last_progress = 0;
-          ctx_tracer = sink;
-          ctx_on_fault = on_fault;
+          ctx_obs = obs;
           ctx_drains = [];
         })
   in
@@ -630,11 +616,10 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?tra
          r_clear s i;
          Effect.Deep.continue k ()
        | Running | Finished -> assert false);
-      (match sink with
-       | None -> ()
-       | Some sk ->
-         if t.clock > slice_start then
-           Obs.Tracer.span sk ~tid:i ~name:"run" ~cat:"sched" slice_start t.clock);
+      (match t.ctx_obs with
+       | Some f when t.clock > slice_start ->
+         f ~tid:i ~clock:t.clock (Obs.Event.Run { start = slice_start })
+       | _ -> ());
       loop ()
     end
   in

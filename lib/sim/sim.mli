@@ -169,8 +169,7 @@ val run :
   ?faults:Fault.t ->
   ?watchdog:int ->
   ?diag:(unit -> string) ->
-  ?tracer:Obs.Tracer.sink ->
-  ?on_fault:(Fault.event -> unit) ->
+  ?observe:Obs.Event.sink ->
   (tctx -> unit) array ->
   unit
 (** [run bodies] executes one fiber per body until all finish. Thread [i]
@@ -192,32 +191,35 @@ val run :
     phase (e.g. a measurement warmup). [diag] contributes an extra
     section (e.g. HTM abort counters) to the watchdog diagnostic.
 
-    [tracer] attaches every thread to an {!Obs.Tracer} sink (default: the
-    ambient sink, see {!set_default_tracer}): the scheduler records each
-    run slice as a span, and fault injections as instants. [on_fault] is
-    called at each injected fault (stall, kill, spurious abort), e.g. to
-    merge fault lines into an exploration trace. Both taps charge zero
-    virtual cycles and consume no simulator RNG: a traced run is
-    cycle-for-cycle identical to an untraced one.
+    [observe] subscribes every thread to the observation stream
+    (default: the ambient observer, see {!set_default_observer}): the
+    scheduler reports each run slice and each injected fault, and the
+    memory and transaction layers report through the same context (see
+    {!emit}). Observation charges zero virtual cycles and consumes no
+    simulator RNG: an observed run is cycle-for-cycle identical to a
+    bare one.
 
     @raise Invalid_argument if there are 0 bodies or more than
     {!max_threads}. *)
 
-val set_default_tracer : Obs.Tracer.sink option -> unit
-(** Install (or clear) the ambient tracer sink that {!run} and {!boot}
-    pick up when no explicit [?tracer] is given. The benchmark driver
-    points this at the current machine's process sink so workloads that
-    call [Sim.run] internally are traced without signature changes. *)
+val set_default_observer : Obs.Event.sink option -> unit
+(** Install (or clear) the ambient observer that {!run} and {!boot} pick
+    up when no explicit [?observe] is given. The benchmark driver points
+    it at the current machine's subscribers so workloads that call
+    [Sim.run] internally are observed without signature changes. *)
 
-val default_tracer : unit -> Obs.Tracer.sink option
+val set_observer : tctx -> Obs.Event.sink option -> unit
+(** Override the observer of one context (e.g. a boot context created
+    before observation began). *)
 
-val tracer : tctx -> Obs.Tracer.sink option
-(** The sink this thread reports to, if any. {!Simmem} and {!Htm} fetch
-    it from the acting context to record miss instants and transaction
-    spans. *)
+val observed : tctx -> bool
+(** Whether this context reports to an observer. Emitting sites test it
+    first, so an unobserved context builds no event: the whole cost of
+    observation off is this one test per site. *)
 
-val set_tracer : tctx -> Obs.Tracer.sink option -> unit
-(** Override the sink on one context (mainly boot contexts). *)
+val emit : tctx -> Obs.Event.t -> unit
+(** Deliver one event, stamped with the context's tid and current clock,
+    to its observer (if any). *)
 
 val note_progress : tctx -> unit
 (** Feed the liveness watchdog: record that this thread just completed

@@ -131,26 +131,6 @@ let op_of_code = function
 
 let no_writer = -1
 
-type access =
-  | Read of { addr : int; value : int }
-  | Write of { addr : int; value : int }
-  | Cas of { addr : int; expected : int; desired : int; success : bool }
-  | Fetch_add of { addr : int; delta : int; old : int }
-  | Malloc of { base : int; words : int }
-  | Free of { base : int; words : int }
-
-type access_event = { acc_tid : int; acc_clock : int; acc : access }
-
-let pp_access ppf = function
-  | Read { addr; value } -> Format.fprintf ppf "read   %#x -> %d" addr value
-  | Write { addr; value } -> Format.fprintf ppf "write  %#x <- %d" addr value
-  | Cas { addr; expected; desired; success } ->
-    Format.fprintf ppf "cas    %#x %d->%d %s" addr expected desired
-      (if success then "ok" else "failed")
-  | Fetch_add { addr; delta; old } -> Format.fprintf ppf "fadd   %#x +%d (was %d)" addr delta old
-  | Malloc { base; words } -> Format.fprintf ppf "malloc %#x (%d words)" base words
-  | Free { base; words } -> Format.fprintf ppf "free   %#x (%d words)" base words
-
 (* One thread's FIFO store buffer (active only under a buffered
    {!Sim.Memmodel}): a fixed ring of (addr, value) pairs in two
    preallocated int arrays, filled lazily on first buffered store —
@@ -183,12 +163,6 @@ type t = {
   sw : int; (* sharer words per line *)
   sbufs : sbuf array; (* indexed by tid; slot [Sim.boot_tid] stays empty *)
   arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
-  mutable tap : (access_event -> unit) option;
-  (* The one observability test hot paths make: set when any per-access
-     bookkeeping (tap, heap observer) is installed, so the
-     no-observer configuration pays a single predictable branch per
-     access and allocates nothing. Recomputed by the setters. *)
-  mutable obs_on : bool;
   mutable values : int array;
   mutable versions : int array;
   mutable state : Bytes.t;
@@ -224,13 +198,10 @@ type t = {
   g_live_words : Obs.Metrics.gauge;
   g_live_blocks : Obs.Metrics.gauge;
   h_queue_wait : Obs.Metrics.hist;
-  (* The heap observer: coherence transfers, labels, allocations and
-     conflict witnesses all go to it. *)
-  mutable observer : Obs.Forensics.t option;
   (* Last-writer journal, the aggressor side of conflict witnesses: per
      word, which thread's committed store bumped the version last, what
-     kind of store it was and at what clock. Kept exactly while an
-     observer is attached; capture is a handful of array stores, zero
+     kind of store it was and at what clock. Only observed contexts
+     journal their stores; capture is a handful of array stores, zero
      virtual cycles. *)
   mutable wr_tid : int array;
   mutable wr_kind : Bytes.t;
@@ -279,8 +250,6 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
           { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None });
     arenas =
       (if arena_mode then Array.make (Sim.max_threads + 1) None else [||]);
-    tap = None;
-    obs_on = false;
     values = Array.make initial_words 0;
     versions = Array.make initial_words 0;
     state = Bytes.make initial_words (Char.chr st_never);
@@ -305,7 +274,6 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     g_live_words = Obs.Metrics.gauge mreg "mem.live_words";
     g_live_blocks = Obs.Metrics.gauge mreg "mem.live_blocks";
     h_queue_wait = Obs.Metrics.hist mreg "mem.queue_wait";
-    observer = None;
     wr_tid = [||];
     wr_kind = Bytes.empty;
     wr_clock = [||];
@@ -349,13 +317,6 @@ let line_of addr = addr lsr line_shift
 let line_version t line = t.lversions.(line)
 let line_writer t line = t.lw_tid.(line)
 
-let refresh_obs t =
-  t.obs_on <- (match (t.tap, t.observer) with None, None -> false | _ -> true)
-
-let set_tap t f =
-  t.tap <- f;
-  refresh_obs t
-
 (* Bit index of [tid] in a sharer set: runnable tids map to themselves,
    boot contexts to the reserved top index. A runnable tid at or beyond
    the heap's capacity has no bit to occupy — the heap must be created
@@ -367,10 +328,8 @@ let bindex t tid =
     invalid_arg
       (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
 
-let label t ~name ~base ~words =
-  match t.observer with
-  | None -> ()
-  | Some o -> Obs.Forensics.label o ~name ~base ~words
+let label (_ : t) ctx ~name ~base ~words =
+  if Sim.observed ctx then Sim.emit ctx (Obs.Event.Label { name; base; words })
 
 (* ---- Conflict forensics ----------------------------------------------
 
@@ -378,8 +337,9 @@ let label t ~name ~base ~words =
    no [tick]/[charge], no RNG — an instrumented run is cycle-for-cycle
    identical to a bare one. *)
 
-(* The journal arrays are sized with the heap but only while an observer
-   is attached — a plain run carries no per-word observability footprint. *)
+(* The journal arrays are allocated on the first observed store and sized
+   with the heap from then on — a plain run carries no per-word
+   observability footprint. *)
 let wr_ensure t =
   let n = Array.length t.values in
   if Array.length t.wr_tid < n then begin
@@ -394,27 +354,13 @@ let wr_ensure t =
     t.wr_clock <- wr_clock
   end
 
-(* Detaching drops the journal, so a re-attached observer starts from an
-   empty one. *)
-let set_observer t o =
-  t.observer <- o;
-  (match o with
-   | Some _ -> wr_ensure t
-   | None ->
-     t.wr_tid <- [||];
-     t.wr_kind <- Bytes.empty;
-     t.wr_clock <- [||]);
-  refresh_obs t
-
-let observer t = t.observer
-
+(* Journal one committed store; callers have checked that [ctx] is
+   observed. *)
 let note_write t ctx addr op =
-  match t.observer with
-  | None -> ()
-  | Some _ ->
-    Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
-    Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
-    t.wr_clock.(addr) <- Sim.clock ctx
+  if addr >= Array.length t.wr_tid then wr_ensure t;
+  Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
+  Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
+  t.wr_clock.(addr) <- Sim.clock ctx
 
 let last_writer t addr =
   if addr < 0 || addr >= Array.length t.wr_tid then None
@@ -448,7 +394,7 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
     | Some tid -> if tid = jtid then (tid, jclock, jop) else (tid, -1, "lock")
   in
   {
-    Obs.Forensics.w_victim = Sim.tid ctx;
+    Obs.Event.w_victim = Sim.tid ctx;
     w_aggressor = agg;
     w_addr = addr;
     w_line = addr lsr line_shift;
@@ -461,36 +407,10 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
     w_site = site;
   }
 
-(* Aggregate the witness and, when a tracer is attached and the aggressor
-   is known, draw a Perfetto flow arrow from the aggressor's committed
-   write to the victim's abort point. *)
-let record_witness t ctx (w : Obs.Forensics.witness) =
-  (match t.observer with None -> () | Some o -> Obs.Forensics.record o w);
-  match Sim.tracer ctx with
-  | Some sink when w.Obs.Forensics.w_aggressor >= 0 && w.w_aggressor_clock >= 0 ->
-    let id = Obs.Tracer.flow_id sink in
-    let args =
-      [ ("addr", Obs.Json.Int w.w_addr); ("site", Obs.Json.Str w.w_site) ]
-    in
-    Obs.Tracer.flow_start sink ~tid:w.w_aggressor ~name:"conflict" ~cat:"forensics"
-      ~args ~id w.w_aggressor_clock;
-    Obs.Tracer.flow_finish sink ~tid:w.w_victim ~name:"conflict" ~cat:"forensics"
-      ~args ~id w.w_clock
-  | _ -> ()
-
-let note_hop t ctx ~from_path ~to_path ~reason w =
-  match t.observer with
-  | None -> ()
-  | Some o ->
-    Obs.Forensics.note_hop o ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ~from_path
-      ~to_path ~reason w
-
-(* Taps fire after the access completes, so the stamped clock includes the
-   access cost and the value reflects the post-access state. *)
-let emit t ctx acc =
-  match t.tap with
-  | None -> ()
-  | Some f -> f { acc_tid = Sim.tid ctx; acc_clock = Sim.clock ctx; acc }
+(* Access events fire after the access completes, so the stamped clock
+   includes the access cost and the value reflects the post-access
+   state. Callers have checked that [ctx] is observed. *)
+let emit ctx acc = Sim.emit ctx (Obs.Event.Access acc)
 
 let grow t needed =
   let cur = Array.length t.values in
@@ -532,8 +452,7 @@ let grow t needed =
   t.lversions <- lversions;
   let lw_tid = Array.make nlines (-1) in
   Array.blit t.lw_tid 0 lw_tid 0 (Array.length t.lw_tid);
-  t.lw_tid <- lw_tid;
-  match t.observer with None -> () | Some _ -> wr_ensure t
+  t.lw_tid <- lw_tid
 
 let word_state t addr = Char.code (Bytes.unsafe_get t.state addr)
 
@@ -561,26 +480,12 @@ let popcount x =
   done;
   !c
 
-(* Observe one coherence transfer: the heap observer's line table,
-   queue-wait histogram, and (when a tracer is attached) a miss instant on
-   the requesting thread's track. Zero virtual cycles. *)
-let observe_miss t ctx ~kind ~addr ~line ~sharers ~cost ~wait =
-  (match t.observer with
-   | None -> ()
-   | Some o -> Obs.Forensics.record_transfer o ~line ~wait ~cost ~sharers);
+(* Observe one coherence transfer: the queue-wait histogram, and a [Miss]
+   event on observed contexts. Zero virtual cycles. *)
+let observe_miss t ctx ~write ~addr ~line ~sharers ~cost ~wait =
   if wait > 0 then Obs.Metrics.observe t.h_queue_wait wait;
-  match Sim.tracer ctx with
-  | None -> ()
-  | Some sink ->
-    Obs.Tracer.instant sink ~tid:(Sim.tid ctx) ~name:kind ~cat:"mem"
-      ~args:
-        [
-          ("addr", Obs.Json.Int addr);
-          ("cost", Obs.Json.Int cost);
-          ("wait", Obs.Json.Int wait);
-          ("sharers", Obs.Json.Int sharers);
-        ]
-      (Sim.clock ctx)
+  if Sim.observed ctx then
+    Sim.emit ctx (Obs.Event.Miss { write; addr; line; cost; wait; sharers })
 
 (* Coherence miss: an MSI approximation. A miss occupies the line for the
    duration of the transfer ([line_busy]), so contended lines serialize
@@ -588,12 +493,12 @@ let observe_miss t ctx ~kind ~addr ~line ~sharers ~cost ~wait =
    hot-spot structures like queue head/tail words. [sharers] is the
    pre-miss sharer count (for the contention profile); the returned cost
    includes any queuing delay. *)
-let miss_cost t ctx ~kind ~addr ~line ~sharers ~base =
+let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
   let now = Sim.clock ctx in
   let start = max now t.line_busy.(line) in
   let finish = start + base in
   t.line_busy.(line) <- finish;
-  observe_miss t ctx ~kind ~addr ~line ~sharers ~cost:(finish - now)
+  observe_miss t ctx ~write ~addr ~line ~sharers ~cost:(finish - now)
     ~wait:(start - now);
   finish - now
 
@@ -611,7 +516,7 @@ let read_cost t ctx addr =
     else begin
       t.sharers.(line) <- s lor bit;
       Obs.Metrics.incr_t t.c_read_misses tid;
-      miss_cost t ctx ~kind:"miss.read" ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:false ~addr ~line ~sharers:(popcount s)
         ~base:t.cost.read_miss
     end
   end
@@ -627,7 +532,7 @@ let read_cost t ctx addr =
       for k = w0 to w0 + t.sw - 1 do
         if k = wi then n := !n + popcount s else n := !n + popcount t.sharers.(k)
       done;
-      miss_cost t ctx ~kind:"miss.read" ~addr ~line ~sharers:!n
+      miss_cost t ctx ~write:false ~addr ~line ~sharers:!n
         ~base:t.cost.read_miss
     end
   end
@@ -644,7 +549,7 @@ let write_cost t ctx addr =
     else begin
       t.sharers.(line) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~kind:"miss.write" ~addr ~line ~sharers:(popcount s)
+      miss_cost t ctx ~write:true ~addr ~line ~sharers:(popcount s)
         ~base:t.cost.write_miss
     end
   end
@@ -666,7 +571,7 @@ let write_cost t ctx addr =
       done;
       t.sharers.(wi) <- bit;
       Obs.Metrics.incr_t t.c_write_misses tid;
-      miss_cost t ctx ~kind:"miss.write" ~addr ~line ~sharers:!n
+      miss_cost t ctx ~write:true ~addr ~line ~sharers:!n
         ~base:t.cost.write_miss
     end
   end
@@ -677,7 +582,7 @@ let write_cost t ctx addr =
    thread's FIFO buffer and becomes globally visible only at a drain
    point: a fence, an atomic, malloc/free, capacity overflow, or thread
    termination. All the visibility machinery — coherence state, miss
-   costs, counters, version bumps, and the access tap — fires at drain
+   costs, counters, version bumps, and the access event — fires at drain
    time, so a drain is a real scheduler-visible step the explorer can
    interleave. Under [sc] no buffer is ever touched and every code path
    below collapses to the pre-weak-memory instruction sequence. *)
@@ -728,9 +633,9 @@ let drain_one t ctx ~terminal sb =
         sb_pop sb;
         t.values.(addr) <- v;
         bump_version t ctx addr;
-        if t.obs_on then begin
+        if Sim.observed ctx then begin
           note_write t ctx addr Op_store;
-          emit t ctx (Write { addr; value = v })
+          emit ctx (Write { addr; value = v })
         end
       end
     end
@@ -786,7 +691,7 @@ let read t ctx addr =
     Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
     Sim.tick ctx t.cost.read_hit;
     check_live t addr;
-    if t.obs_on then emit t ctx (Read { addr; value = v });
+    if Sim.observed ctx then emit ctx (Read { addr; value = v });
     v
   end
   else begin
@@ -794,7 +699,7 @@ let read t ctx addr =
     Sim.tick ctx (read_cost t ctx addr);
     check_live t addr;
     let v = t.values.(addr) in
-    if t.obs_on then emit t ctx (Read { addr; value = v });
+    if Sim.observed ctx then emit ctx (Read { addr; value = v });
     v
   end
 
@@ -806,9 +711,9 @@ let write_through t ctx addr v =
   check_live t addr;
   t.values.(addr) <- v;
   bump_version t ctx addr;
-  if t.obs_on then begin
+  if Sim.observed ctx then begin
     note_write t ctx addr Op_store;
-    emit t ctx (Write { addr; value = v })
+    emit ctx (Write { addr; value = v })
   end
 
 let write t ctx addr v =
@@ -839,19 +744,22 @@ let cas t ctx addr ~expected ~desired =
   let success = t.values.(addr) = expected in
   if success then begin
     t.values.(addr) <- desired;
-    bump_version t ctx addr;
-    if t.obs_on then note_write t ctx addr Op_atomic
-  end
-  else if (match t.observer with Some _ -> true | None -> false) then
-    (* A failed CAS is a coherence-plane conflict in its own right: some
-       other thread's committed store got between this thread's read of
-       [expected] and its attempt to install [desired]. Non-transactional
-       lock-free structures (e.g. the ROP queue) surface their contention
-       here, so forensics would otherwise be blind to them. *)
-    record_witness t ctx
-      (conflict_witness t ctx ~addr ~victim_wrote:true ~in_read_set:false
-         ~in_write_set:true ~site:"mem.cas" ());
-  if t.obs_on then emit t ctx (Cas { addr; expected; desired; success });
+    bump_version t ctx addr
+  end;
+  if Sim.observed ctx then begin
+    if success then note_write t ctx addr Op_atomic
+    else
+      (* A failed CAS is a coherence-plane conflict in its own right: some
+         other thread's committed store got between this thread's read of
+         [expected] and its attempt to install [desired]. Non-transactional
+         lock-free structures (e.g. the ROP queue) surface their contention
+         here, so forensics would otherwise be blind to them. *)
+      Sim.emit ctx
+        (Obs.Event.Witness
+           (conflict_witness t ctx ~addr ~victim_wrote:true ~in_read_set:false
+              ~in_write_set:true ~site:"mem.cas" ()));
+    emit ctx (Cas { addr; expected; desired; success })
+  end;
   success
 
 let fetch_add t ctx addr d =
@@ -863,8 +771,10 @@ let fetch_add t ctx addr d =
   let old = t.values.(addr) in
   t.values.(addr) <- old + d;
   bump_version t ctx addr;
-  if t.obs_on then note_write t ctx addr Op_atomic;
-  if t.obs_on then emit t ctx (Fetch_add { addr; delta = d; old });
+  if Sim.observed ctx then begin
+    note_write t ctx addr Op_atomic;
+    emit ctx (Fetch_add { addr; delta = d; old })
+  end;
   old
 
 let version t addr = t.versions.(addr)
@@ -1063,19 +973,15 @@ let malloc t ctx n =
     bump_version t ctx a
   done;
   t.block_words.(base) <- n;
-  if t.obs_on then
-    for a = base to base + n - 1 do
-      note_write t ctx a Op_malloc
-    done;
-  (match t.observer with
-   | None -> ()
-   | Some o ->
-     Obs.Forensics.note_alloc o ~base ~words:n ~tid:(Sim.tid ctx)
-       ~clock:(Sim.clock ctx));
   Obs.Metrics.add t.g_live_words n;
   Obs.Metrics.add t.g_live_blocks 1;
   Obs.Metrics.incr1 t.c_allocs;
-  if t.obs_on then emit t ctx (Malloc { base; words = n });
+  if Sim.observed ctx then begin
+    for a = base to base + n - 1 do
+      note_write t ctx a Op_malloc
+    done;
+    emit ctx (Malloc { base; words = n })
+  end;
   base
 
 let free t ctx base =
@@ -1093,10 +999,6 @@ let free t ctx base =
       Bytes.unsafe_set t.state a (Char.chr st_freed);
       bump_version t ctx a
     done;
-    if t.obs_on then
-      for a = base to base + n - 1 do
-        note_write t ctx a Op_free
-      done;
     (if t.alloc <> Shared_lifo then begin
        (* The free's semantic effects (state flip, version bumps, fault
           checks) just happened; only *reuse* is routed. An owner free goes
@@ -1122,7 +1024,12 @@ let free t ctx base =
     Obs.Metrics.add t.g_live_words (-n);
     Obs.Metrics.add t.g_live_blocks (-1);
     Obs.Metrics.incr1 t.c_frees;
-    if t.obs_on then emit t ctx (Free { base; words = n })
+    if Sim.observed ctx then begin
+      for a = base to base + n - 1 do
+        note_write t ctx a Op_free
+      done;
+      emit ctx (Free { base; words = n })
+    end
   end
 
 module Tx_plane = struct
@@ -1138,7 +1045,7 @@ module Tx_plane = struct
       else begin
         let v = t.values.(addr) in
         t.txr_val <- v;
-        if t.obs_on then emit t ctx (Read { addr; value = v });
+        if Sim.observed ctx then emit ctx (Read { addr; value = v });
         t.versions.(addr)
       end
     end
@@ -1157,9 +1064,9 @@ module Tx_plane = struct
       Sim.charge ctx (write_cost t ctx addr);
       t.values.(addr) <- v;
       bump_version t ctx addr;
-      if t.obs_on then begin
+      if Sim.observed ctx then begin
         note_write t ctx addr Op_commit;
-        emit t ctx (Write { addr; value = v })
+        emit ctx (Write { addr; value = v })
       end;
       true
     end

@@ -138,7 +138,7 @@ val create :
     buffer and becomes globally visible only at a drain point — a
     {!Sim.fence}, an atomic ({!cas} / {!fetch_add}), {!malloc} / {!free},
     capacity overflow, or thread termination. Coherence costs, counters,
-    version bumps and the access tap all fire at drain time, making each
+    version bumps and the access event all fire at drain time, making each
     drained store a scheduler-visible step. See docs/MEMORY_ORDERING.md.
 
     [alloc] selects the allocation policy (default {!Shared_lifo}, the
@@ -182,40 +182,33 @@ val line_writer : t -> int -> int
     never bumped (no cost, no yield). Lets a validator absorb its own
     bumps instead of self-aborting. *)
 
-(** {1 The heap observer}
+(** {1 Observation}
 
-    One optional {!Obs.Forensics.t} per heap sees everything the
-    coherence plane can tell: every coherence transfer (read or write
-    miss, with its line, queuing delay, total cost and the sharer count
-    at request time), every {!label} and {!malloc}, and every conflict
-    {e witness} — who doomed a transaction (or a CAS): the victim, the
-    aggressor whose committed store invalidated it, the address they
-    collided on and the access kinds. Aggressors are resolved from a
+    Every access reports through the acting context's observer (see
+    {!Sim.emit}): each completed access (including the transactional
+    plane's reads and committed stores), every coherence transfer (read
+    or write miss, with its line, queuing delay, total cost and the
+    sharer count at request time), every {!label}, and every failed CAS
+    as a conflict {e witness}. Witness aggressors are resolved from a
     per-word {e last-writer journal} (thread, clock, store kind at the
-    word's most recent version bump), kept exactly while an observer is
-    attached.
+    word's most recent version bump) that records the committed stores
+    of observed contexts.
 
     All of it is observation only — zero virtual cycles, no RNG, no
     scheduling impact — so observed runs are cycle-identical to bare
-    ones, and a heap without an observer pays one branch per access. *)
+    ones, and an unobserved context pays one branch per access. *)
 
-val set_observer : t -> Obs.Forensics.t option -> unit
-(** Attach (or, with [None], detach) the heap observer. Detaching also
-    stops and drops the last-writer journal. *)
-
-val observer : t -> Obs.Forensics.t option
-
-val label : t -> name:string -> base:int -> words:int -> unit
-(** Region-label an address range for attribution (no-op without an
-    observer). Data-structure implementations call this at allocation
-    sites: ["ListHoHRC.header"], ["MSQueue+ROP.node"], ... *)
+val label : t -> Sim.tctx -> name:string -> base:int -> words:int -> unit
+(** Region-label an address range for attribution (an {!Obs.Event.Label}
+    event; no-op on an unobserved context). Data-structure
+    implementations call this at allocation sites:
+    ["ListHoHRC.header"], ["MSQueue+ROP.node"], ... *)
 
 type writer_op = Op_store | Op_atomic | Op_commit | Op_malloc | Op_free
 
 val last_writer : t -> int -> (int * int * writer_op) option
 (** [(tid, clock, op)] of the committed store that last bumped this
-    word's version; [None] without an observer, or if the word was not
-    written since the observer was attached. *)
+    word's version; [None] if no observed context has written the word. *)
 
 val conflict_witness :
   t ->
@@ -228,49 +221,12 @@ val conflict_witness :
   in_write_set:bool ->
   site:string ->
   unit ->
-  Obs.Forensics.witness
+  Obs.Event.witness
 (** Build a witness for a conflict the acting thread just lost on
     [addr]. The aggressor comes from the last-writer journal of [lookup]
     (default [addr]) — pass the stripe-lock word to attribute an STM
     conflict to the last committer of that stripe. [aggressor] overrides
     the journal's thread when the caller knows the owner exactly. *)
-
-val record_witness : t -> Sim.tctx -> Obs.Forensics.witness -> unit
-(** Aggregate into the attached observer (if any) and, when a tracer is
-    attached and the aggressor known, emit a Chrome-trace flow arrow
-    from the aggressor's write to the victim's abort. *)
-
-val note_hop :
-  t ->
-  Sim.tctx ->
-  from_path:string ->
-  to_path:string ->
-  reason:string ->
-  Obs.Forensics.witness option ->
-  unit
-(** Record an escalation hop (HW → STM → TLE) in the attached observer;
-    no-op otherwise. *)
-
-(** Access-event tap, for trace capture by the schedule explorer
-    ([lib/explore]): every completed access — including the transactional
-    plane's reads and committed stores — is reported with the issuing
-    thread and its clock after the access. Costs nothing when unset. *)
-
-type access =
-  | Read of { addr : int; value : int }
-  | Write of { addr : int; value : int }
-  | Cas of { addr : int; expected : int; desired : int; success : bool }
-  | Fetch_add of { addr : int; delta : int; old : int }
-  | Malloc of { base : int; words : int }
-  | Free of { base : int; words : int }
-
-type access_event = { acc_tid : int; acc_clock : int; acc : access }
-
-val pp_access : Format.formatter -> access -> unit
-
-val set_tap : t -> (access_event -> unit) option -> unit
-(** Install (or with [None] remove) the access tap. The tap must not
-    access [t] reentrantly. *)
 
 val null : int
 (** The null address, [0]. *)
@@ -297,7 +253,7 @@ val write : t -> Sim.tctx -> int -> int -> unit
 (** Non-transactional store; bumps the word version (strong atomicity:
     it dooms any transaction that has read the word). Under a buffered
     {!Sim.Memmodel} the store enters the thread's FIFO buffer instead and
-    only becomes visible (version bump, coherence traffic, tap event) when
+    only becomes visible (version bump, coherence traffic, access event) when
     it drains; an in-fiber drain whose target word has meanwhile been
     freed raises the fault at drain time — the delayed-visibility
     use-after-free that fence disciplines exist to prevent.
@@ -312,7 +268,7 @@ val fenced_write : t -> Sim.tctx -> int -> int -> unit
 val cas : t -> Sim.tctx -> int -> expected:int -> desired:int -> bool
 (** Atomic compare-and-swap; bumps the version only on success. Atomics
     are implicit full fences: the thread's store buffer drains first.
-    With an observer attached, a {e failed} CAS records a conflict witness
+    On an observed context, a {e failed} CAS reports a conflict witness
     (site ["mem.cas"]) against the word's last writer — how non-
     transactional lock-free structures surface their contention. *)
 

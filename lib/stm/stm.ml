@@ -70,6 +70,12 @@ let abort_label = function
 
 let pp_abort_reason ppf r = Format.pp_print_string ppf (abort_label r)
 
+let event_reason : abort_reason -> Obs.Event.abort_reason = function
+  | Conflict -> Conflict
+  | Locked -> Lock_held
+  | Illegal -> Illegal
+  | Explicit -> Explicit
+
 type stats = {
   commits : int;
   aborts_conflict : int;
@@ -80,15 +86,6 @@ type stats = {
   steals : int;
   clock_bumps : int;
 }
-
-type tx_event =
-  | Ev_commit of { ev_reads : int; ev_writes : int; ev_attempt : int }
-  | Ev_abort of {
-      ev_reason : abort_reason;
-      ev_attempt : int;
-      ev_witness : Obs.Forensics.witness option;
-    }
-  | Ev_steal of { ev_victim : int }
 
 (* One heartbeat word per possible owner slot, each on its own cache line
    so the per-commit bump never false-shares with a neighbour's. *)
@@ -133,8 +130,7 @@ type t = {
   watch : (int * int * int * int) option array;
   (* Per-thread witness of the most recent abort, read by Htm when STM
      budget exhaustion drives the stm->tle escalation hop. *)
-  last_w : Obs.Forensics.witness option array;
-  mutable tap : (tid:int -> clock:int -> tx_event -> unit) option;
+  last_w : Obs.Event.witness option array;
   (* One reusable transaction record per owner slot: [atomic] allocates
      only on a thread's first transaction (or under nesting). *)
   pool : tx option array;
@@ -160,7 +156,7 @@ and tx = {
   mutable lold : int array;
   mutable nlocks : int;
   mutable saddr : int array;
-  mutable witness : Obs.Forensics.witness option;
+  mutable witness : Obs.Event.witness option;
       (* set at the capture site of the conflict aborting this attempt *)
 }
 
@@ -174,11 +170,11 @@ let create ?(config = default_config) ?metrics mem =
   (* The clock gets its own line; the lock table and heartbeats are
      line-aligned regions of their own. *)
   let clock_addr = Simmem.malloc mem boot 8 in
-  Simmem.label mem ~name:"Stm.clock" ~base:clock_addr ~words:8;
+  Simmem.label mem boot ~name:"Stm.clock" ~base:clock_addr ~words:8;
   let locks = Simmem.malloc mem boot config.lock_slots in
-  Simmem.label mem ~name:"Stm.locks" ~base:locks ~words:config.lock_slots;
+  Simmem.label mem boot ~name:"Stm.locks" ~base:locks ~words:config.lock_slots;
   let hb = Simmem.malloc mem boot (n_tids * hb_stride) in
-  Simmem.label mem ~name:"Stm.heartbeats" ~base:hb ~words:(n_tids * hb_stride);
+  Simmem.label mem boot ~name:"Stm.heartbeats" ~base:hb ~words:(n_tids * hb_stride);
   let mreg = Obs.Metrics.create ?parent:metrics () in
   {
     smem = mem;
@@ -200,7 +196,6 @@ let create ?(config = default_config) ?metrics mem =
     h_writes = Obs.Metrics.hist mreg "stm.writes_per_tx";
     watch = Array.make n_tids None;
     last_w = Array.make n_tids None;
-    tap = None;
     pool = Array.make n_tids None;
   }
 
@@ -208,13 +203,7 @@ let mem t = t.smem
 let config t = t.cfg
 let metrics t = t.mreg
 let set_fence t addr = t.fence <- addr
-let set_tap t f = t.tap <- f
 let last_witness t ctx = t.last_w.(slot_of (Sim.tid ctx))
-
-let emit t ctx ev =
-  match t.tap with
-  | None -> ()
-  | Some f -> f ~tid:(Sim.tid ctx) ~clock:(Sim.clock ctx) ev
 
 let stats t =
   {
@@ -428,7 +417,6 @@ let capture_conflict tx site =
    owner re-verifies ownership of all its stripes at its commit point and
    aborts when any was stolen. *)
 let steal_from s ctx victim =
-  let me = Sim.tid ctx in
   let freed = ref 0 in
   for i = 0 to s.cfg.lock_slots - 1 do
     let la = s.locks + i in
@@ -440,15 +428,7 @@ let steal_from s ctx victim =
   done;
   if !freed > 0 then begin
     Obs.Metrics.incr_by s.c_steals !freed;
-    (match s.tap with
-     | None -> ()
-     | Some _ -> emit s ctx (Ev_steal { ev_victim = victim }));
-    match Sim.tracer ctx with
-    | None -> ()
-    | Some sink ->
-      Obs.Tracer.instant sink ~tid:me ~name:"stm.steal" ~cat:"tx"
-        ~args:[ ("victim", Obs.Json.Int victim); ("locks", Obs.Json.Int !freed) ]
-        (Sim.clock ctx)
+    if Sim.observed ctx then Sim.emit ctx (Obs.Event.Steal { victim; locks = !freed })
   end
 
 let watch_or_steal s ctx la lw =
@@ -741,7 +721,7 @@ let backoff s ctx n =
 
 (* Top-level (not a closure inside [atomic]) so a pooled transaction's
    fast path allocates nothing. *)
-let rec attempt_loop s ctx tx budget f on_abort tr tid t0 n last =
+let rec attempt_loop s ctx tx budget f on_abort tid t0 n last =
   if budget > 0 && n >= budget then raise (Retry_exhausted last);
   Sim.tick ctx (s.cfg.start_cost + Sim.Rng.int (Sim.rng ctx) 16);
   (* Transaction begin is a full fence: the thread's pre-tx buffered
@@ -762,22 +742,10 @@ let rec attempt_loop s ctx tx budget f on_abort tr tid t0 n last =
     Obs.Metrics.incr_t s.c_commits tid;
     Obs.Metrics.observe s.h_writes tx.nwrites;
     Obs.Metrics.observe s.h_commit (Sim.clock ctx - t0);
-    (match s.tap with
-     | None -> ()
-     | Some _ ->
-       emit s ctx
-         (Ev_commit { ev_reads = tx.nreads; ev_writes = tx.nwrites; ev_attempt = n }));
-    (match tr with
-     | None -> ()
-     | Some sink ->
-       Obs.Tracer.span sink ~tid ~name:"tx.stm" ~cat:"tx"
-         ~args:
-           [
-             ("attempt", Obs.Json.Int n);
-             ("reads", Obs.Json.Int tx.nreads);
-             ("writes", Obs.Json.Int tx.nwrites);
-           ]
-         t_att (Sim.clock ctx));
+    if Sim.observed ctx then
+      Sim.emit ctx
+        (Obs.Event.Commit
+           { path = Stm; attempt = n; start = t_att; reads = tx.nreads; writes = tx.nwrites });
     run_frees tx;
     Sim.note_progress ctx;
     v
@@ -789,22 +757,15 @@ let rec attempt_loop s ctx tx budget f on_abort tr tid t0 n last =
      | Explicit -> Obs.Metrics.incr_t s.c_explicit tid);
     let w = tx.witness in
     tx.witness <- None;
-    (match w with Some wit -> Simmem.record_witness s.smem ctx wit | None -> ());
     s.last_w.(slot_of tid) <- w;
-    (match s.tap with
-     | None -> ()
-     | Some _ -> emit s ctx (Ev_abort { ev_reason = r; ev_attempt = n; ev_witness = w }));
-    (match tr with
-     | None -> ()
-     | Some sink ->
-       Obs.Tracer.instant sink ~tid ~name:"tx.stm.abort" ~cat:"tx"
-         ~args:
-           [ ("reason", Obs.Json.Str (abort_label r)); ("attempt", Obs.Json.Int n) ]
-         (Sim.clock ctx));
+    if Sim.observed ctx then
+      Sim.emit ctx
+        (Obs.Event.Abort
+           { path = Stm; attempt = n; start = t_att; reason = event_reason r; witness = w });
     Sim.tick ctx s.cfg.abort_cost;
     on_abort r;
     backoff s ctx n;
-    attempt_loop s ctx tx budget f on_abort tr tid t0 (n + 1) r
+    attempt_loop s ctx tx budget f on_abort tid t0 (n + 1) r
 
 let atomic s ctx ?max_attempts ?(on_abort = fun (_ : abort_reason) -> ()) f =
   let budget = match max_attempts with Some m -> m | None -> s.cfg.max_attempts in
@@ -812,8 +773,7 @@ let atomic s ctx ?max_attempts ?(on_abort = fun (_ : abort_reason) -> ()) f =
   tx.busy <- true;
   let t0 = Sim.clock ctx in
   let tid = Sim.tid ctx in
-  let tr = Sim.tracer ctx in
-  match attempt_loop s ctx tx budget f on_abort tr tid t0 0 Conflict with
+  match attempt_loop s ctx tx budget f on_abort tid t0 0 Conflict with
   | v ->
     tx.busy <- false;
     v

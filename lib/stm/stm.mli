@@ -81,6 +81,10 @@ type abort_reason =
 
 val pp_abort_reason : Format.formatter -> abort_reason -> unit
 
+val event_reason : abort_reason -> Obs.Event.abort_reason
+(** The reason as the observation stream (and {!Htm}) reports it: a
+    [Locked] abort is [Lock_held]. *)
+
 type stats = {
   commits : int;
   aborts_conflict : int;
@@ -117,22 +121,7 @@ val set_fence : t -> int -> unit
     unheld at every commit point: an STM commit never lands inside a TLE
     critical section. [0] (the default) disables the check. *)
 
-(** Transaction-event tap, mirroring {!Htm.set_tap}: {!Htm} forwards
-    these into its own path-attributed [tx_event] stream. *)
-type tx_event =
-  | Ev_commit of { ev_reads : int; ev_writes : int; ev_attempt : int }
-  | Ev_abort of {
-      ev_reason : abort_reason;
-      ev_attempt : int;
-      ev_witness : Obs.Forensics.witness option;
-          (** the conflict that doomed the attempt, when one was captured
-              at the failing validation / lock probe *)
-    }
-  | Ev_steal of { ev_victim : int }
-
-val set_tap : t -> (tid:int -> clock:int -> tx_event -> unit) option -> unit
-
-val last_witness : t -> Sim.tctx -> Obs.Forensics.witness option
+val last_witness : t -> Sim.tctx -> Obs.Event.witness option
 (** The acting thread's most recent abort witness; {!Htm} reads it when
     STM budget exhaustion drives the stm→tle escalation hop. *)
 

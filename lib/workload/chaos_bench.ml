@@ -405,9 +405,6 @@ let summary_of_pieces pieces =
     stm_crashes = List.filter_map (function Stm_crash s -> Some s | _ -> None) pieces;
   }
 
-let run_all ?jobs ?seed () =
-  summary_of_pieces (Runner.Sweep.values (Runner.Sweep.run ?jobs (cells ?seed ())))
-
 let fi = float_of_int
 
 let crash_table (crashes : crash_result list) : Report.table =
@@ -504,7 +501,7 @@ let stm_crash_note =
    the full #2.3 specification check.\n"
 
 (* The rendered tables with their explanatory notes, in report
-   order — what [report] prints and the bench registry captures. *)
+   order — what the bench registry captures. *)
 let tables (s : summary) =
   [
     (crash_table s.crashes, crash_note);
@@ -512,10 +509,3 @@ let tables (s : summary) =
     (spurious_table s.spurious, spurious_note);
     (stm_crash_table s.stm_crashes, stm_crash_note);
   ]
-
-let report ppf (s : summary) =
-  List.iter
-    (fun (t, note) ->
-      Report.print ppf t;
-      Format.fprintf ppf "@.%s@." note)
-    (tables s)

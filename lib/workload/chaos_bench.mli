@@ -23,7 +23,8 @@
       after validation, before write-back. Survivors must steal the
       stale locks (heartbeat timeout) and keep the machine live.
 
-    [bench/main.exe chaos] runs {!run_all} and renders {!report}. *)
+    [bench/main.exe chaos] runs the {!cells}, assembles them with
+    {!summary_of_pieces} and renders the {!tables}. *)
 
 type crash_result = {
   cr_algo : string;
@@ -108,12 +109,7 @@ val cells : ?seed:int -> unit -> piece Runner.Cell.t list
 (** One cell per (scenario x algorithm), in canonical sweep order. *)
 
 val summary_of_pieces : piece list -> summary
-
-val run_all : ?jobs:int -> ?seed:int -> unit -> summary
-(** All three scenarios: {!Collect.all} under crashes and spurious aborts,
-    {!Hqueue.all_with_extensions} under crashes. *)
+(** All scenarios' results, regrouped from the swept pieces. *)
 
 val tables : summary -> (Report.table * string) list
 (** The rendered tables with their explanatory notes, in report order. *)
-
-val report : Format.formatter -> summary -> unit

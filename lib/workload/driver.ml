@@ -12,12 +12,17 @@ let cycles_per_us = 2000
 let op_dispatch = 200
 let warmup = 1_000_000
 
-type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
+type machine = {
+  mem : Simmem.t;
+  htm : Htm.t;
+  boot : Sim.tctx;
+  observer : Obs.Forensics.t option;
+}
 
 (* Observability for the whole harness run. Workloads build machines
    internally, so the benchmark front-end cannot thread sinks through
    their signatures; instead it installs them here once and every machine
-   built afterwards attaches itself: a tracer process per machine, the
+   built afterwards subscribes itself: a tracer process per machine, the
    shared aggregate metrics registry as parent, and (when observing) a
    fresh heap observer per machine, logged under the machine's label for
    the report. *)
@@ -54,7 +59,7 @@ let set_obs o =
   st.st_obs <- o;
   st.st_seq <- 0;
   st.st_observers <- [];
-  if o.obs_tracer = None then Sim.set_default_tracer None
+  Sim.set_default_observer None
 
 let obs () = (state ()).st_obs
 let observers () = List.rev (state ()).st_observers
@@ -71,16 +76,22 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
     Simmem.create ?metrics:o.obs_metrics ?threads ?initial_words:heap_words
       ?alloc ()
   in
-  (match o.obs_tracer with
-   | None -> Sim.set_default_tracer None
-   | Some tr -> Sim.set_default_tracer (Some (Obs.Tracer.process tr ~name)));
-  if o.obs_observer then begin
-    let ob = Obs.Forensics.create () in
-    Simmem.set_observer mem (Some ob);
-    st.st_observers <- (name, ob) :: st.st_observers
-  end;
+  let observer = if o.obs_observer then Some (Obs.Forensics.create ()) else None in
+  Option.iter (fun ob -> st.st_observers <- (name, ob) :: st.st_observers) observer;
+  (* One ambient sink per machine, installed before anything touches the
+     heap: every context built from here on (the HTM domain's set-up, the
+     machine's boot context, the workload's threads) reports to it. *)
+  let tracer =
+    Option.map (fun tr -> Obs.Tracer.observe (Obs.Tracer.process tr ~name)) o.obs_tracer
+  in
+  let heap = Option.map Obs.Forensics.observe observer in
+  Sim.set_default_observer
+    (match (tracer, heap) with
+     | Some a, Some b -> Some (Obs.Event.tee a b)
+     | Some _, None -> tracer
+     | None, _ -> heap);
   let htm = Htm.create ~config:htm_config ?metrics:o.obs_metrics mem in
-  { mem; htm; boot = Sim.boot ~seed () }
+  { mem; htm; boot = Sim.boot ~seed (); observer }
 
 (* Unique non-zero values within a run: the spec checker relies on every
    bound value identifying one Register/Update event. Domain-local, and

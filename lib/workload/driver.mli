@@ -14,14 +14,20 @@ val warmup : int
 (** Virtual time at which measurement windows begin; setup work must
     complete before it. *)
 
-type machine = { mem : Simmem.t; htm : Htm.t; boot : Sim.tctx }
+type machine = {
+  mem : Simmem.t;
+  htm : Htm.t;
+  boot : Sim.tctx;
+  observer : Obs.Forensics.t option;  (** the heap observer, when observing *)
+}
 
 (** Harness-wide observability. Workloads build machines internally, so
     the benchmark front-end installs sinks once with {!set_obs}; every
-    {!machine} built afterwards attaches itself — a tracer process (and
-    the ambient {!Sim.set_default_tracer} sink) per machine, the shared
-    metrics registry as parent of its heap's and HTM domain's registries,
-    and a per-machine heap observer when [obs_observer] is set. *)
+    {!machine} built afterwards subscribes itself — a tracer process and
+    a per-machine heap observer (when [obs_observer] is set), teed into
+    the ambient {!Sim.set_default_observer} sink before the machine's
+    first access — and chains the shared metrics registry as parent of
+    its heap's and HTM domain's registries. *)
 type obs = {
   obs_tracer : Obs.Tracer.t option;
   obs_metrics : Obs.Metrics.t option;

@@ -271,10 +271,6 @@ let summary_of_pieces pieces =
     chaos = List.filter_map (function Chaos c -> Some c | _ -> None) pieces;
   }
 
-let run_all ?jobs ?threads ?big ?duration ?seed () =
-  summary_of_pieces
-    (Runner.Sweep.values (Runner.Sweep.run ?jobs (cells ?threads ?big ?duration ?seed ())))
-
 let fi = float_of_int
 
 let grid_table ~shared (grid : grid_result list) : Report.table =
@@ -387,10 +383,3 @@ let tables (s : summary) =
     (interference_table s.interference, interference_note);
     (chaos_table s.chaos, chaos_note);
   ]
-
-let report ppf (s : summary) =
-  List.iter
-    (fun (t, note) ->
-      Report.print ppf t;
-      if note <> "" then Format.fprintf ppf "@.%s@." note)
-    (tables s)

@@ -64,11 +64,5 @@ val cells :
 
 val summary_of_pieces : piece list -> summary
 
-val run_all :
-  ?jobs:int -> ?threads:int list -> ?big:int list -> ?duration:int -> ?seed:int ->
-  unit -> summary
-
 val tables : summary -> (Report.table * string) list
 (** Rendered tables with their explanatory notes, in report order. *)
-
-val report : Format.formatter -> summary -> unit

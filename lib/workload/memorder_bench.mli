@@ -11,7 +11,8 @@
       reachability for SB / SB+fence / MP / LB / CoRR / RoW under
       exhaustive schedule enumeration ({!Explore.Litmus}).
 
-    [bench/main.exe memorder] runs {!run_all} and renders {!report};
+    [bench/main.exe memorder] runs the {!cells}, assembles them with
+    {!summary_of_pieces} and renders the {!tables};
     docs/MEMORY_ORDERING.md explains the variant matrix. *)
 
 val variants : (string * Sim.Memmodel.t) list
@@ -51,6 +52,4 @@ val cells : ?seed:int -> unit -> piece Runner.Cell.t list
     variant), in canonical sweep order. *)
 
 val summary_of_pieces : piece list -> summary
-val run_all : ?jobs:int -> ?seed:int -> unit -> summary
 val tables : summary -> (Report.table * string) list
-val report : Format.formatter -> summary -> unit

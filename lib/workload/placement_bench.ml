@@ -63,9 +63,7 @@ let snapshot ~structure ~policy ~threads ~duration ~ops (m : Driver.machine) =
     abort_rate =
       float_of_int st.aborts_conflict /. float_of_int (max 1 st.attempts_hw);
     transfers =
-      (match Simmem.observer m.mem with
-      | Some o -> Obs.Forensics.total_transfers o
-      | None -> 0);
+      (match m.observer with Some o -> Obs.Forensics.total_transfers o | None -> 0);
   }
 
 (* The conflict window: an instantaneous read-modify-write commits before
@@ -91,7 +89,7 @@ let counters_one ~policy ~threads ~duration ~seed =
   in
   let counters = Array.init threads (fun _ -> Simmem.malloc m.mem m.boot 1) in
   Array.iter
-    (fun c -> Simmem.label m.mem ~name:"Placement.counter" ~base:c ~words:1)
+    (fun c -> Simmem.label m.mem m.boot ~name:"Placement.counter" ~base:c ~words:1)
     counters;
   let deadline = Driver.warmup + duration in
   let ops = Array.make threads 0 in
@@ -123,7 +121,7 @@ let pairs_one ~policy ~threads ~duration ~seed =
   in
   let recs = Array.init threads (fun _ -> Simmem.malloc m.mem m.boot 2) in
   Array.iter
-    (fun r -> Simmem.label m.mem ~name:"Placement.pair" ~base:r ~words:2)
+    (fun r -> Simmem.label m.mem m.boot ~name:"Placement.pair" ~base:r ~words:2)
     recs;
   let deadline = Driver.warmup + duration in
   let ops = Array.make threads 0 in

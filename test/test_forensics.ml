@@ -101,16 +101,32 @@ let w ?(victim = 3) ?(aggressor = 1) ?(addr = 0x128) ?(ww = false)
     w_site = site;
   }
 
+(* The observer's one entry point is its event handler; these feed it
+   the events the simulator emits. *)
+let feed f ?(tid = 0) ?(clock = 0) ev = Obs.Forensics.observe f ~tid ~clock ev
+let label f ~name ~base ~words = feed f (Obs.Event.Label { name; base; words })
+
+let note_alloc f ~base ~words ~tid ~clock =
+  feed f ~tid ~clock (Access (Malloc { base; words }))
+
+let record f w = feed f (Witness w)
+
+let record_transfer f ~line ~wait ~cost ~sharers =
+  feed f (Miss { write = false; addr = line lsl 3; line; cost; wait; sharers })
+
+let note_hop f ~tid ~clock ~from_path ~to_path ~reason witness =
+  feed f ~tid ~clock (Escalate { from_path; to_path; attempt = 0; reason; witness })
+
 let test_forensics_aggregates () =
   let f = Obs.Forensics.create () in
-  Obs.Forensics.label f ~name:"A" ~base:0x120 ~words:8;
-  Obs.Forensics.label f ~name:"B" ~base:0x128 ~words:8;
+  label f ~name:"A" ~base:0x120 ~words:8;
+  label f ~name:"B" ~base:0x128 ~words:8;
   (* false-shares A's second line? no: 0x128 starts line 0x25 *)
-  Obs.Forensics.label f ~name:"B2" ~base:0x12c ~words:2;
-  Obs.Forensics.note_alloc f ~base:0x120 ~words:16 ~tid:7 ~clock:50;
-  Obs.Forensics.record f (w ());
-  Obs.Forensics.record f (w ~ww:true ~wset:true ~site:"htm.commit" ());
-  Obs.Forensics.record f (w ~victim:2 ~aggressor:3 ~addr:0x400 ());
+  label f ~name:"B2" ~base:0x12c ~words:2;
+  note_alloc f ~base:0x120 ~words:16 ~tid:7 ~clock:50;
+  record f (w ());
+  record f (w ~ww:true ~wset:true ~site:"htm.commit" ());
+  record f (w ~victim:2 ~aggressor:3 ~addr:0x400 ());
   Alcotest.(check int) "count" 3 (Obs.Forensics.count f);
   (match Obs.Forensics.edges f with
   | [ e1; e2 ] ->
@@ -150,15 +166,15 @@ let test_forensics_aggregates () =
     (Obs.Forensics.victims f);
   (* Coherence traffic into the same table, on lines no witness touched
      (8-word lines: words 0-7 are line 0, 8-15 line 1, ...). *)
-  Obs.Forensics.label f ~name:"A" ~base:0 ~words:8;
-  Obs.Forensics.label f ~name:"B" ~base:8 ~words:16;
-  Obs.Forensics.label f ~name:"A" ~base:0 ~words:8;
+  label f ~name:"A" ~base:0 ~words:8;
+  label f ~name:"B" ~base:8 ~words:16;
+  label f ~name:"A" ~base:0 ~words:8;
   (* relabelling is idempotent; C overlaps B's first line *)
-  Obs.Forensics.label f ~name:"C" ~base:12 ~words:2;
-  Obs.Forensics.record_transfer f ~line:0 ~wait:0 ~cost:40 ~sharers:2;
-  Obs.Forensics.record_transfer f ~line:1 ~wait:10 ~cost:50 ~sharers:3;
-  Obs.Forensics.record_transfer f ~line:1 ~wait:0 ~cost:40 ~sharers:1;
-  Obs.Forensics.record_transfer f ~line:9 ~wait:0 ~cost:40 ~sharers:1;
+  label f ~name:"C" ~base:12 ~words:2;
+  record_transfer f ~line:0 ~wait:0 ~cost:40 ~sharers:2;
+  record_transfer f ~line:1 ~wait:10 ~cost:50 ~sharers:3;
+  record_transfer f ~line:1 ~wait:0 ~cost:40 ~sharers:1;
+  record_transfer f ~line:9 ~wait:0 ~cost:40 ~sharers:1;
   Alcotest.(check int) "total transfers" 4 (Obs.Forensics.total_transfers f);
   let hot = Obs.Forensics.transfer_lines f in
   Alcotest.(check (list int))
@@ -180,8 +196,8 @@ let test_forensics_aggregates () =
 let test_forensics_hop_bound () =
   let f = Obs.Forensics.create ~max_hops:2 () in
   for i = 1 to 3 do
-    Obs.Forensics.note_hop f ~tid:i ~clock:(i * 10) ~from_path:"hw"
-      ~to_path:"stm" ~reason:"conflict" (Some (w ()))
+    note_hop f ~tid:i ~clock:(i * 10) ~from_path:Hw
+      ~to_path:Stm ~reason:Conflict (Some (w ()))
   done;
   Alcotest.(check int) "total counted past bound" 3 (Obs.Forensics.hop_count f);
   let hops = Obs.Forensics.hops f in
@@ -197,14 +213,14 @@ let test_forensics_hop_bound () =
 let test_forensics_absorb () =
   let mk wit =
     let f = Obs.Forensics.create () in
-    Obs.Forensics.label f ~name:"R" ~base:0x120 ~words:8;
-    List.iter (Obs.Forensics.record f) wit;
+    label f ~name:"R" ~base:0x120 ~words:8;
+    List.iter (record f) wit;
     f
   in
   let a = mk [ w (); w ~victim:2 () ] in
   let b = mk [ w (); w ~addr:0x200 ~site:"mem.cas" () ] in
-  Obs.Forensics.note_hop b ~tid:0 ~clock:9 ~from_path:"hw" ~to_path:"tle"
-    ~reason:"overflow" None;
+  note_hop b ~tid:0 ~clock:9 ~from_path:Hw ~to_path:Tle
+    ~reason:Overflow None;
   Obs.Forensics.absorb a b;
   Alcotest.(check int) "counts add" 4 (Obs.Forensics.count a);
   Alcotest.(check int) "hops concatenate" 1 (Obs.Forensics.hop_count a);
@@ -225,12 +241,12 @@ let test_forensics_absorb () =
    doctor` prints. *)
 let test_print_golden () =
   let f = Obs.Forensics.create () in
-  Obs.Forensics.label f ~name:"Hdr" ~base:0x128 ~words:8;
-  Obs.Forensics.note_alloc f ~base:0x128 ~words:8 ~tid:2 ~clock:40;
-  Obs.Forensics.record f (w ());
-  Obs.Forensics.record f (w ~ww:true ~wset:true ~site:"htm.commit" ());
-  Obs.Forensics.note_hop f ~tid:3 ~clock:120 ~from_path:"hw" ~to_path:"stm"
-    ~reason:"conflict" (Some (w ()));
+  label f ~name:"Hdr" ~base:0x128 ~words:8;
+  note_alloc f ~base:0x128 ~words:8 ~tid:2 ~clock:40;
+  record f (w ());
+  record f (w ~ww:true ~wset:true ~site:"htm.commit" ());
+  note_hop f ~tid:3 ~clock:120 ~from_path:Hw ~to_path:Stm
+    ~reason:Conflict (Some (w ()));
   let rendered = Format.asprintf "%a" (Obs.Forensics.print ?top:None) f in
   let expected =
     String.concat "\n"
@@ -262,15 +278,15 @@ let test_print_golden () =
    prints per machine. *)
 let test_print_transfers_golden () =
   let f = Obs.Forensics.create () in
-  Obs.Forensics.label f ~name:"Hdr" ~base:0 ~words:8;
-  Obs.Forensics.label f ~name:"Node" ~base:8 ~words:8;
-  Obs.Forensics.label f ~name:"Slot" ~base:12 ~words:4;
-  Obs.Forensics.record_transfer f ~line:1 ~wait:30 ~cost:90 ~sharers:4;
-  Obs.Forensics.record_transfer f ~line:1 ~wait:0 ~cost:60 ~sharers:2;
-  Obs.Forensics.record_transfer f ~line:0 ~wait:0 ~cost:60 ~sharers:1;
-  Obs.Forensics.record_transfer f ~line:40 ~wait:5 ~cost:65 ~sharers:1;
+  label f ~name:"Hdr" ~base:0 ~words:8;
+  label f ~name:"Node" ~base:8 ~words:8;
+  label f ~name:"Slot" ~base:12 ~words:4;
+  record_transfer f ~line:1 ~wait:30 ~cost:90 ~sharers:4;
+  record_transfer f ~line:1 ~wait:0 ~cost:60 ~sharers:2;
+  record_transfer f ~line:0 ~wait:0 ~cost:60 ~sharers:1;
+  record_transfer f ~line:40 ~wait:5 ~cost:65 ~sharers:1;
   (* a conflict alone never enters the contention view *)
-  Obs.Forensics.record f (w ~addr:0x400 ());
+  record f (w ~addr:0x400 ());
   let rendered = Format.asprintf "%a" (Obs.Forensics.print_transfers ~top:2) f in
   let expected =
     String.concat "\n"
@@ -309,12 +325,12 @@ let test_json_roundtrip_prop =
        QCheck.(make Gen.(list_size (int_range 0 40) witness_gen))
        (fun ws ->
          let f = Obs.Forensics.create () in
-         Obs.Forensics.label f ~name:"R" ~base:0 ~words:64;
-         List.iter (Obs.Forensics.record f) ws;
+         label f ~name:"R" ~base:0 ~words:64;
+         List.iter (record f) ws;
          (match ws with
          | wit :: _ ->
-           Obs.Forensics.note_hop f ~tid:0 ~clock:5 ~from_path:"hw"
-             ~to_path:"stm" ~reason:"conflict" (Some wit)
+           note_hop f ~tid:0 ~clock:5 ~from_path:Hw
+             ~to_path:Stm ~reason:Conflict (Some wit)
          | [] -> ());
          let j = Obs.Forensics.to_json f in
          match Obs.Json.parse (Obs.Json.to_string j) with
@@ -330,16 +346,17 @@ let test_json_roundtrip_prop =
    witnesses are captured at the transactional validation sites. Returns
    enough state (sums and per-thread clocks) to detect any virtual-time
    perturbation. *)
-let run_workload ?forensics ?tracer ~seed () =
+let run_workload f ~seed =
+  let observe = Obs.Forensics.observe f in
   let mem = Simmem.create () in
-  Simmem.set_observer mem forensics;
   let htm = Htm.create mem in
   let boot = Sim.boot ~seed () in
+  Sim.set_observer boot (Some observe);
   let arr = Simmem.malloc mem boot 16 in
-  Simmem.label mem ~name:"shared" ~base:arr ~words:16;
+  Simmem.label mem boot ~name:"shared" ~base:arr ~words:16;
   let clocks = Array.make 4 0 in
   let sum = ref 0 in
-  Sim.run ~seed ?tracer
+  Sim.run ~seed ~observe
     (Array.init 4 (fun i ->
          fun ctx ->
            (if i = 0 then
@@ -365,7 +382,7 @@ let run_workload ?forensics ?tracer ~seed () =
 
 let test_live_capture () =
   let f = Obs.Forensics.create () in
-  let addr, _, _ = run_workload ~forensics:f ~seed:7 () in
+  let addr, _, _ = run_workload f ~seed:7 in
   Alcotest.(check bool) "witnesses captured" true (Obs.Forensics.count f > 0);
   (match Obs.Forensics.lines f with
   | top :: _ ->
@@ -390,30 +407,16 @@ let test_live_capture () =
        (fun (s, _) -> contains s "htm.")
        (Obs.Forensics.sites f))
 
-let test_conflict_flows_in_trace () =
-  let t = Obs.Tracer.create () in
-  let sink = Obs.Tracer.process t ~name:"m" in
-  let f = Obs.Forensics.create () in
-  let _ = run_workload ~forensics:f ~tracer:sink ~seed:7 () in
-  let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
-  Alcotest.(check bool) "flow tail events" true (contains js "\"ph\":\"s\"");
-  Alcotest.(check bool) "flow head events" true (contains js "\"ph\":\"f\"");
-  Alcotest.(check bool) "forensics category" true
-    (contains js "\"cat\":\"forensics\"");
-  Alcotest.(check bool) "named after the conflict" true
-    (contains js "\"conflict\"")
-
 let test_escalation_hop_capture () =
   let f = Obs.Forensics.create () in
   let mem = Simmem.create () in
-  Simmem.set_observer mem (Some f);
   let htm =
     Htm.create ~config:{ Htm.default_config with tle = Htm.Tle_after 1 } mem
   in
   let boot = Sim.boot ~seed:3 () in
   let n = Htm.default_config.store_buffer + 1 in
   let addr = Simmem.malloc mem boot n in
-  Sim.run ~seed:3
+  Sim.run ~seed:3 ~observe:(Obs.Forensics.observe f)
     [|
       (fun ctx ->
         Htm.atomic htm ctx (fun tx ->
@@ -429,23 +432,25 @@ let test_escalation_hop_capture () =
     Alcotest.(check string) "driven by the overflow" "overflow" h.hp_reason
   | hs -> Alcotest.failf "expected 1 hop, got %d" (List.length hs)
 
-(* Detaching the observer stops the last-writer journal and returns the
-   heap to the no-observer access path: a store after the detach is not
-   journalled, and accesses allocate within test_perf's no-observer
-   budget (half a word per access; an attached observer costs an event
-   record per store). *)
-let test_detach_stops_journal () =
+(* Only observed contexts journal their stores: a store by an
+   unobserved context leaves no last writer, and the unobserved access
+   path allocates within test_perf's budget (half a word per access; an
+   observed store costs an event record). *)
+let test_unobserved_no_journal () =
   let mem = Simmem.create () in
   let boot = Sim.boot ~seed:1 () in
   let a = Simmem.malloc mem boot 8 in
-  Simmem.set_observer mem (Some (Obs.Forensics.create ()));
   Simmem.write mem boot a 1;
-  Alcotest.(check bool) "attached: store journalled" true
-    (Simmem.last_writer mem a <> None);
-  Simmem.set_observer mem None;
-  Simmem.write mem boot (a + 1) 2;
-  Alcotest.(check bool) "detached: store not journalled" true
-    (Simmem.last_writer mem (a + 1) = None);
+  Alcotest.(check bool) "unobserved: store not journalled" true
+    (Simmem.last_writer mem a = None);
+  let observed = Sim.boot ~seed:1 () in
+  Sim.set_observer observed (Some (fun ~tid:_ ~clock:_ _ -> ()));
+  Simmem.write mem observed (a + 1) 2;
+  Alcotest.(check bool) "observed: store journalled" true
+    (Simmem.last_writer mem (a + 1) <> None);
+  Simmem.write mem boot (a + 2) 3;
+  Alcotest.(check bool) "unobserved beside a journal: still not journalled" true
+    (Simmem.last_writer mem (a + 2) = None);
   let accesses = 20_000 in
   let churn () =
     Sim.run ~seed:1
@@ -465,22 +470,8 @@ let test_detach_stops_journal () =
   let budget = 20_000.0 +. (0.5 *. float_of_int accesses) in
   if words > budget then
     Alcotest.failf
-      "detached heap allocated %.0f minor words for %d accesses (budget %.0f)" words
+      "unobserved accesses allocated %.0f minor words for %d accesses (budget %.0f)" words
       accesses budget
-
-(* Observation is free: attaching forensics (and a tracer) never moves
-   virtual time — same final value, same per-thread clocks. *)
-let test_zero_cost_prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:25 ~name:"forensics capture never perturbs virtual time"
-       QCheck.(int_range 1 10_000)
-       (fun seed ->
-         let bare = run_workload ~seed () in
-         let f = Obs.Forensics.create () in
-         let t = Obs.Tracer.create () in
-         let sink = Obs.Tracer.process t ~name:"m" in
-         let observed = run_workload ~forensics:f ~tracer:sink ~seed () in
-         Obs.Forensics.count f > 0 && bare = observed))
 
 (* ------------------------------------------------------------------ *)
 (* The doctor pipeline: determinism across jobs, and the contend        *)
@@ -518,6 +509,21 @@ let forensics_bytes outcomes =
   |> List.map (fun (name, f) ->
          name ^ ":" ^ Obs.Json.to_string (Obs.Forensics.to_json f))
   |> String.concat "\n"
+
+(* A traced run without the heap observer still journals (every observed
+   context does), so the contention cell's failed CASes resolve their
+   aggressors and the trace carries conflict flow pairs. *)
+let test_trace_only_cell_arrows () =
+  let t = Obs.Tracer.create () in
+  let cell = List.nth (contend_cells ()) 3 (* MichaelScott+ROP-hot *) in
+  ignore (Runner.Sweep.run ~tracer:t [ cell ]);
+  let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
+  let has affix = contains js affix in
+  Alcotest.(check bool) "flow tail" true
+    (has {|"name":"conflict","cat":"forensics","ph":"s"|});
+  Alcotest.(check bool) "flow head" true
+    (has {|"name":"conflict","cat":"forensics","ph":"f"|});
+  Alcotest.(check bool) "mem.cas witnesses drawn" true (has {|"site":"mem.cas"|})
 
 let test_doctor_determinism_and_shape () =
   let serial = Runner.Sweep.run ~observe:true (contend_cells ()) in
@@ -603,12 +609,11 @@ let () =
       ( "capture",
         [
           Alcotest.test_case "live witnesses" `Quick test_live_capture;
-          Alcotest.test_case "conflict flows in trace" `Quick
-            test_conflict_flows_in_trace;
           Alcotest.test_case "escalation hops" `Quick test_escalation_hop_capture;
-          Alcotest.test_case "detach stops the journal" `Quick
-            test_detach_stops_journal;
-          test_zero_cost_prop;
+          Alcotest.test_case "unobserved stores are not journalled" `Quick
+            test_unobserved_no_journal;
+          Alcotest.test_case "trace-only cell draws conflict arrows" `Quick
+            test_trace_only_cell_arrows;
         ] );
       ( "doctor",
         [

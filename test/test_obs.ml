@@ -254,50 +254,94 @@ let test_tracer_span_args () =
 (* ------------------------------------------------------------------ *)
 (* System level: determinism and zero cost                              *)
 
-(* A small contended HTM workload on a fresh machine; returns the final
-   counter value and each thread's final virtual clock. *)
-let run_workload ?tracer ?metrics ?observer ~seed () =
+(* A workload built to conflict: thread 0 runs long scanning
+   transactions over a 16-word region while three writers hammer it with
+   naked stores and a hardware-transactional counter. Strong atomicity
+   dooms the scans mid-flight, so witnesses are captured at the
+   transactional validation sites. Returns everything that would expose
+   a virtual-time perturbation: the results, each thread's final clock
+   and the next draw of each thread's RNG. *)
+let run_workload ?observe ?metrics ~seed () =
   let mem = Simmem.create ?metrics () in
-  Simmem.set_observer mem observer;
   let htm = Htm.create ?metrics mem in
   let boot = Sim.boot ~seed () in
-  let addr = Simmem.malloc mem boot 8 in
-  Simmem.label mem ~name:"counter" ~base:addr ~words:8;
-  let clocks = Array.make 4 0 in
-  Sim.run ~seed ?tracer
+  Sim.set_observer boot observe;
+  let arr = Simmem.malloc mem boot 17 in
+  Simmem.label mem boot ~name:"shared" ~base:arr ~words:17;
+  let clocks = Array.make 4 0 and draws = Array.make 4 0 in
+  let sum = ref 0 in
+  Sim.run ~seed ?observe
     (Array.init 4 (fun i ->
          fun ctx ->
-           for _ = 1 to 15 do
-             Htm.atomic htm ctx (fun tx -> Htm.write tx addr (Htm.read tx addr + 1));
-             Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 40)
-           done;
-           clocks.(i) <- Sim.clock ctx));
-  (Simmem.peek mem addr, Array.to_list clocks)
+           (if i = 0 then
+              for _ = 1 to 20 do
+                sum :=
+                  !sum
+                  + Htm.atomic htm ctx (fun tx ->
+                        let s = ref 0 in
+                        for k = 0 to 15 do
+                          s := !s + Htm.read tx (arr + k)
+                        done;
+                        Htm.write tx arr (!s land 0xff);
+                        !s);
+                Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 16)
+              done
+            else
+              for r = 1 to 15 do
+                Simmem.write mem ctx (arr + ((i * 5 + r) land 15)) r;
+                Htm.atomic htm ctx (fun tx ->
+                    Htm.write tx (arr + 16) (Htm.read tx (arr + 16) + 1));
+                Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 40)
+              done);
+           clocks.(i) <- Sim.clock ctx;
+           draws.(i) <- Sim.Rng.bits (Sim.rng ctx)));
+  (arr, !sum, Simmem.peek mem (arr + 16), Array.to_list clocks, Array.to_list draws)
+
+let trace_run ~seed =
+  let t = Obs.Tracer.create () in
+  let sink = Obs.Tracer.process t ~name:"machine" in
+  ignore (run_workload ~observe:(Obs.Tracer.observe sink) ~seed ());
+  Obs.Json.to_string (Obs.Tracer.to_json t)
 
 let test_trace_determinism () =
-  let trace_bytes () =
-    let t = Obs.Tracer.create () in
-    let sink = Obs.Tracer.process t ~name:"machine" in
-    let (_ : int * int list) = run_workload ~tracer:sink ~seed:7 () in
-    Obs.Json.to_string (Obs.Tracer.to_json t)
-  in
-  let a = trace_bytes () in
+  let a = trace_run ~seed:7 in
   Alcotest.(check bool) "trace has tx spans" true (contains a "\"tx\"");
-  Alcotest.(check string) "same seed, byte-identical trace" a (trace_bytes ())
+  Alcotest.(check string) "same seed, byte-identical trace" a (trace_run ~seed:7)
 
+(* Without a heap observer the tracer's own subscription journals the
+   stores, so a trace-only run still resolves aggressors and draws its
+   conflict arrows. *)
+let test_conflict_flows_in_trace () =
+  let js = trace_run ~seed:7 in
+  Alcotest.(check bool) "flow tail events" true (contains js "\"ph\":\"s\"");
+  Alcotest.(check bool) "flow head events" true (contains js "\"ph\":\"f\"");
+  Alcotest.(check bool) "forensics category" true (contains js "\"cat\":\"forensics\"");
+  Alcotest.(check bool) "named after the conflict" true (contains js "\"conflict\"")
+
+(* Observation is free: every subscriber at once — the tracer, the heap
+   observer and the explore trace, teed onto one stream, plus a metrics
+   registry — leaves results, clocks and RNG streams exactly as in a
+   bare run. *)
 let test_zero_cost_prop =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:25
-       ~name:"tracing+metrics+profiling never perturb virtual time"
+    (QCheck.Test.make ~count:25 ~name:"observation never perturbs virtual time"
        QCheck.(int_range 1 10_000)
        (fun seed ->
          let bare = run_workload ~seed () in
          let t = Obs.Tracer.create () in
-         let sink = Obs.Tracer.process t ~name:"m" in
-         let metrics = Obs.Metrics.create () in
-         let observer = Obs.Forensics.create () in
-         let observed = run_workload ~tracer:sink ~metrics ~observer ~seed () in
-         Obs.Tracer.recorded t > 0 && bare = observed))
+         let f = Obs.Forensics.create () in
+         let tr = Explore.Trace.create () in
+         let observe =
+           Obs.Event.tee
+             (Obs.Event.tee (Obs.Tracer.observe (Obs.Tracer.process t ~name:"m"))
+                (Obs.Forensics.observe f))
+             (Explore.Trace.observe tr)
+         in
+         let observed = run_workload ~observe ~metrics:(Obs.Metrics.create ()) ~seed () in
+         Obs.Tracer.recorded t > 0
+         && Obs.Forensics.count f > 0
+         && Explore.Trace.lines tr <> []
+         && bare = observed))
 
 let test_fault_instants_in_trace () =
   let t = Obs.Tracer.create () in
@@ -312,8 +356,11 @@ let test_fault_instants_in_trace () =
       }
   in
   let seen = ref [] in
-  Sim.run ~seed:3 ~tracer:sink ~faults
-    ~on_fault:(fun ev -> seen := ev.Sim.Fault.ev_kind :: !seen)
+  let on_fault ~tid:_ ~clock:_ = function
+    | Obs.Event.Fault k -> seen := k :: !seen
+    | _ -> ()
+  in
+  Sim.run ~seed:3 ~faults ~observe:(Obs.Event.tee (Obs.Tracer.observe sink) on_fault)
     (Array.init 2 (fun _ ->
          fun ctx ->
            for _ = 1 to 100 do
@@ -323,10 +370,73 @@ let test_fault_instants_in_trace () =
   let js = Obs.Json.to_string (Obs.Tracer.to_json t) in
   Alcotest.(check bool) "kill instant traced" true (contains js "fault.kill");
   Alcotest.(check bool) "stall instant traced" true (contains js "fault.stall");
-  Alcotest.(check bool) "on_fault tap saw the kill" true
+  Alcotest.(check bool) "fault subscriber saw the kill" true
     (List.mem Sim.Fault.Killed !seen);
-  Alcotest.(check bool) "on_fault tap saw a stall" true
+  Alcotest.(check bool) "fault subscriber saw a stall" true
     (List.exists (function Sim.Fault.Stalled _ -> true | _ -> false) !seen)
+
+(* The Chrome rendering of one tiny traced run, pinned event for event:
+   run slices, committed tx spans, aborted attempts with their abort
+   instants, coherence-miss instants, the conflict flow pair from an
+   aggressor's commit to its victim's abort, and a fault instant. *)
+let golden_chrome () =
+  let t = Obs.Tracer.create () in
+  let sink = Obs.Tracer.process t ~name:"golden" in
+  let mem = Simmem.create () in
+  let htm = Htm.create mem in
+  let boot = Sim.boot () in
+  let addr = Simmem.malloc mem boot 1 in
+  let faults =
+    Sim.Fault.make { Sim.Fault.none with fault_seed = 2; stall_rate = 0.1; stall_cycles = 300 }
+  in
+  Sim.run ~seed:4 ~observe:(Obs.Tracer.observe sink) ~faults
+    (Array.init 2 (fun _ ->
+         fun ctx ->
+           for _ = 1 to 3 do
+             Htm.atomic htm ctx (fun tx ->
+                 let v = Htm.read tx addr in
+                 Sim.tick ctx 40;
+                 Htm.write tx addr (v + 1))
+           done));
+  match Obs.Json.member "traceEvents" (Obs.Tracer.to_json t) with
+  | Some (Obs.Json.List evs) -> List.map Obs.Json.to_string evs
+  | _ -> Alcotest.fail "no traceEvents list"
+
+let golden_chrome_expected = [
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"golden\"}}";
+    "{\"name\":\"fault.stall\",\"cat\":\"fault\",\"ph\":\"i\",\"ts\":32,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"cycles\":284}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":1,\"dur\":316}";
+    "{\"name\":\"miss.read\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":35,\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"addr\":16,\"cost\":50,\"wait\":0,\"sharers\":0}}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":35,\"pid\":1,\"tid\":0,\"dur\":133,\"args\":{\"attempt\":0,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":197,\"pid\":1,\"tid\":0,\"dur\":91,\"args\":{\"attempt\":0,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":0,\"pid\":1,\"tid\":0,\"dur\":328}";
+    "{\"name\":\"miss.read\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":316,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"addr\":16,\"cost\":50,\"wait\":0,\"sharers\":1}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":316,\"pid\":1,\"tid\":1,\"dur\":50}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":328,\"pid\":1,\"tid\":0,\"dur\":48}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":366,\"pid\":1,\"tid\":1,\"dur\":40}";
+    "{\"name\":\"miss.write\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":411,\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"addr\":16,\"cost\":60,\"wait\":0,\"sharers\":2}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":376,\"pid\":1,\"tid\":0,\"dur\":95}";
+    "{\"name\":\"conflict\",\"cat\":\"forensics\",\"ph\":\"s\",\"ts\":471,\"pid\":1,\"tid\":0,\"id\":1,\"args\":{\"addr\":16,\"site\":\"htm.commit\"}}";
+    "{\"name\":\"conflict\",\"cat\":\"forensics\",\"ph\":\"f\",\"ts\":406,\"pid\":1,\"tid\":1,\"id\":1,\"bp\":\"e\",\"args\":{\"addr\":16,\"site\":\"htm.commit\"}}";
+    "{\"name\":\"tx.attempt\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":316,\"pid\":1,\"tid\":1,\"dur\":90,\"args\":{\"attempt\":0}}";
+    "{\"name\":\"tx.abort\",\"cat\":\"tx\",\"ph\":\"i\",\"ts\":406,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"reason\":\"conflict\",\"attempt\":0}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":406,\"pid\":1,\"tid\":1,\"dur\":100}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":328,\"pid\":1,\"tid\":0,\"dur\":143,\"args\":{\"attempt\":0,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"miss.read\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":576,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"addr\":16,\"cost\":50,\"wait\":0,\"sharers\":1}}";
+    "{\"name\":\"miss.write\",\"cat\":\"mem\",\"ph\":\"i\",\"ts\":701,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"addr\":16,\"cost\":60,\"wait\":0,\"sharers\":2}}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":576,\"pid\":1,\"tid\":1,\"dur\":185,\"args\":{\"attempt\":1,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":788,\"pid\":1,\"tid\":1,\"dur\":91,\"args\":{\"attempt\":0,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"tx\",\"cat\":\"tx\",\"ph\":\"X\",\"ts\":904,\"pid\":1,\"tid\":1,\"dur\":91,\"args\":{\"attempt\":0,\"reads\":1,\"writes\":1}}";
+    "{\"name\":\"run\",\"cat\":\"sched\",\"ph\":\"X\",\"ts\":506,\"pid\":1,\"tid\":1,\"dur\":489}";
+]
+
+let test_chrome_golden () =
+  let got = golden_chrome () in
+  if got <> golden_chrome_expected then begin
+    List.iter (fun l -> Printf.printf "    %S;\n" l) got;
+    Alcotest.failf "Chrome trace drifted from the golden (%d events, expected %d)"
+      (List.length got) (List.length golden_chrome_expected)
+  end
 
 let () =
   Alcotest.run "obs"
@@ -358,7 +468,9 @@ let () =
       ( "system",
         [
           Alcotest.test_case "trace determinism" `Quick test_trace_determinism;
+          Alcotest.test_case "conflict flows in trace" `Quick test_conflict_flows_in_trace;
           test_zero_cost_prop;
           Alcotest.test_case "fault instants" `Quick test_fault_instants_in_trace;
+          Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
         ] );
     ]

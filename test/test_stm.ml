@@ -211,16 +211,15 @@ let test_attribution_spurious () =
   let a = Simmem.malloc mem boot 1 in
   let faults = Sim.Fault.make { Sim.Fault.none with spurious_abort_rate = 1.0 } in
   let escalations = ref 0 and stm_commits = ref 0 and hw_aborts = ref 0 in
-  Htm.set_tap htm
-    (Some
-       (fun ~tid:_ ~clock:_ ev ->
-         match ev with
-         | Htm.Tx_escalate { esc_to = Htm.P_stm; _ } -> incr escalations
-         | Htm.Tx_commit { tx_path = Htm.P_stm; _ } -> incr stm_commits
-         | Htm.Tx_abort { ab_path = Htm.P_hw; _ } -> incr hw_aborts
-         | _ -> ()));
+  let observe ~tid:_ ~clock:_ (ev : Obs.Event.t) =
+    match ev with
+    | Escalate { to_path = Stm; _ } -> incr escalations
+    | Commit { path = Stm; _ } -> incr stm_commits
+    | Abort { path = Hw; _ } -> incr hw_aborts
+    | _ -> ()
+  in
   let ops = 5 in
-  Sim.run ~seed:29 ~faults
+  Sim.run ~seed:29 ~faults ~observe
     [|
       (fun ctx ->
         for _ = 1 to ops do
@@ -235,9 +234,9 @@ let test_attribution_spurious () =
   Alcotest.(check int) "software commits carried every op" ops st.stm_commits;
   Alcotest.(check int) "escalations counted" ops st.escalations_stm;
   Alcotest.(check int) "no lock fallbacks" 0 st.lock_fallbacks;
-  Alcotest.(check int) "tap saw the escalations" ops !escalations;
-  Alcotest.(check int) "tap saw the stm commits" ops !stm_commits;
-  Alcotest.(check int) "tap saw the hw aborts" (2 * ops) !hw_aborts;
+  Alcotest.(check int) "stream saw the escalations" ops !escalations;
+  Alcotest.(check int) "stream saw the stm commits" ops !stm_commits;
+  Alcotest.(check int) "stream saw the hw aborts" (2 * ops) !hw_aborts;
   Alcotest.(check int) "all ops applied" ops (Simmem.peek mem a)
 
 (* STM budget exhaustion with TLE enabled falls to the lock; with TLE
