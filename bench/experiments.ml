@@ -684,7 +684,7 @@ let ext =
 (* ------------------------------------------------------------------ *)
 (* The scaling study: the flat simulator core removes the Rock-era
    16-thread ceiling, so re-ask the paper's headline questions at 64, 128
-   and 256 simulated threads on million-word heaps. Byte-deterministic
+   and 256 simulated threads. Byte-deterministic
    like every other artifact experiment; EXPERIMENTS.md records which
    fig1/fig3 shapes survive the scale-up. *)
 

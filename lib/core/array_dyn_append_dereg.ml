@@ -27,7 +27,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let arr = Simmem.malloc mem ctx (slot_words * min_size) in
   Simmem.write mem ctx (hdr + hdr_array) arr;
   Simmem.write mem ctx (hdr + hdr_capacity) min_size;
-  { htm; hdr; min_size; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
+  { htm; hdr; min_size; stepper = Stepper.make mem cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let help_copy_one t ctx =
   let hdr = t.hdr in

@@ -41,7 +41,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   Simmem.write mem ctx (hdr + hdr_array) arr;
   Simmem.write mem ctx (hdr + hdr_capacity) min_size;
   (* Collect costs two loads per element, so keep full-width steps. *)
-  { htm; hdr; min_size; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
+  { htm; hdr; min_size; stepper = Stepper.make mem cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let help_copy_one t ctx =
   let hdr = t.hdr in

@@ -32,7 +32,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let sentinel = Simmem.malloc mem ctx node_words in
   Simmem.label mem ctx ~name:"ListFast.header" ~base:hdr ~words:1;
   Simmem.label mem ctx ~name:"ListFast.header" ~base:sentinel ~words:node_words;
-  { htm; hdr; sentinel; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
+  { htm; hdr; sentinel; stepper = Stepper.make mem cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in

@@ -47,7 +47,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
   let sentinel = Simmem.malloc mem ctx node_words in
   Simmem.label mem ctx ~name:"ListFastDeferred.header" ~base:hdr ~words:2;
   Simmem.label mem ctx ~name:"ListFastDeferred.header" ~base:sentinel ~words:node_words;
-  { htm; hdr; sentinel; stepper = Stepper.make cfg.step ~max_step:(Htm.config htm).store_buffer }
+  { htm; hdr; sentinel; stepper = Stepper.make mem cfg.step ~max_step:(Htm.config htm).store_buffer }
 
 let register t ctx v =
   let mem = Htm.mem t.htm in

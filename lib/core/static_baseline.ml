@@ -17,13 +17,18 @@ type t = {
 }
 
 let create htm ctx (cfg : Collect_intf.cfg) =
+  let mem = Htm.mem htm in
   let capacity = max 1 cfg.max_slots in
   let num_threads = max 1 cfg.num_threads in
   let slots_per_thread = max 1 (capacity / num_threads) in
-  let arr = Simmem.malloc (Htm.mem htm) ctx capacity in
-  Simmem.label (Htm.mem htm) ctx ~name:"StaticArray.slots" ~base:arr ~words:capacity;
+  let arr = Simmem.malloc mem ctx capacity in
+  Simmem.label mem ctx ~name:"StaticArray.slots" ~base:arr ~words:capacity;
+  let nslots = Simmem.thread_slots mem in
   let free_slots =
-    Array.init (Sim.max_threads + 1) (fun tid ->
+    Array.init nslots (fun slot ->
+        (* The static mapping is by thread id; the last slot is the boot
+           context's. *)
+        let tid = if slot = nslots - 1 then Sim.boot_tid else slot in
         let base = tid * slots_per_thread in
         if base + slots_per_thread > capacity then []
         else List.init slots_per_thread (fun i -> base + i))
@@ -32,7 +37,7 @@ let create htm ctx (cfg : Collect_intf.cfg) =
 
 let register t ctx v =
   if v = 0 then invalid_arg "Static_baseline.register: 0 is the null value";
-  let tid = Sim.tid ctx in
+  let tid = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx) in
   match t.free_slots.(tid) with
   | [] -> raise (Collect_intf.Capacity_exceeded "StaticBaseline")
   | i :: rest ->
@@ -45,7 +50,8 @@ let update t ctx slot v = Simmem.write (Htm.mem t.htm) ctx slot v
 
 let deregister t ctx slot =
   Simmem.write (Htm.mem t.htm) ctx slot 0;
-  t.free_slots.(Sim.tid ctx) <- (slot - t.arr) :: t.free_slots.(Sim.tid ctx)
+  let tid = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx) in
+  t.free_slots.(tid) <- (slot - t.arr) :: t.free_slots.(tid)
 
 let collect t ctx buf =
   let mem = Htm.mem t.htm in

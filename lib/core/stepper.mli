@@ -10,8 +10,10 @@
 
 type t
 
-val make : Collect_intf.step_policy -> max_step:int -> t
-(** [max_step] is per algorithm: e.g. HOHRC spends up to 5 store-buffer
+val make : Simmem.t -> Collect_intf.step_policy -> max_step:int -> t
+(** [make mem policy ~max_step]: the per-thread controllers are sized
+    for [mem]'s thread capacity ({!Simmem.thread_slots}). [max_step] is
+    per algorithm: e.g. HOHRC spends up to 5 store-buffer
     slots on reference-count bookkeeping, so its steps cannot reach 32.
     For [Adaptive] the bound is rounded down to a power of two. *)
 

@@ -38,7 +38,7 @@ let check h =
   if n = 0 then Ok ()
   else begin
     let full = (1 lsl n) - 1 in
-    let dead : (int * int list, unit) Hashtbl.t = Hashtbl.create 4096 in
+    let dead : (int * int list, unit) Hashtbl.t = Hashtbl.create 64 in
     (* [i] may be linearized next iff no other pending op returned before
        [i] was invoked (such an op must precede [i] in any linearization). *)
     let minimal mask i =

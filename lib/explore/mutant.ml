@@ -45,6 +45,9 @@ let slot_index t ctx =
   else if tid < t.num_threads then tid
   else invalid_arg "Mutant: thread id outside the declared range"
 
+(* The acting thread's slot in the per-thread host tables. *)
+let tslot t ctx = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx)
+
 let hazard_addr t ctx i = t.hz + (hazards_per_thread * slot_index t ctx) + i
 
 let fence_cost = 60
@@ -73,8 +76,8 @@ let create htm ctx ~num_threads ~fenced ~eager_free ~scan_threshold =
     num_threads;
     fenced;
     eager_free;
-    retired = Array.make (Sim.max_threads + 1) [];
-    retired_count = Array.make (Sim.max_threads + 1) 0;
+    retired = Array.make (Simmem.thread_slots mem) [];
+    retired_count = Array.make (Simmem.thread_slots mem) 0;
     scan_threshold;
   }
 
@@ -85,7 +88,7 @@ let scan t ctx =
   let mem = Htm.mem t.htm in
   let nslots = hazards_per_thread * (t.num_threads + 1) in
   let announced = Array.init nslots (fun i -> Simmem.read mem ctx (t.hz + i)) in
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   let keep, free_list =
     List.partition (fun node -> Array.exists (Int.equal node) announced) t.retired.(tid)
   in
@@ -94,7 +97,7 @@ let scan t ctx =
   t.retired_count.(tid) <- List.length keep
 
 let retire t ctx node =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   t.retired.(tid) <- node :: t.retired.(tid);
   t.retired_count.(tid) <- t.retired_count.(tid) + 1;
   if t.retired_count.(tid) >= t.scan_threshold then scan t ctx

@@ -20,7 +20,7 @@ let hdr_words = 16
 
 (* The transaction bodies are allocated once per queue and passed to every
    [Htm.atomic]; operation arguments and results travel through per-thread
-   slots indexed by {!Htm.tx_tid}, so an operation allocates nothing on
+   slots indexed by {!Simmem.thread_slot}, so an operation allocates nothing on
    the OCaml heap. Per-thread (not plain mutable) because a thread can
    yield inside its transaction while another starts its own. *)
 type t = {
@@ -32,8 +32,11 @@ type t = {
   mutable deq_body : Htm.tx -> bool;
 }
 
+(* [tid]'s slot in the per-thread tables. *)
+let tslot t tid = Simmem.thread_slot (Htm.mem t.htm) tid
+
 let enq_tx t tx =
-  let node = t.enq_arg.(Htm.tx_tid tx) in
+  let node = t.enq_arg.(tslot t (Htm.tx_tid tx)) in
   let tail = Htm.read tx (t.hdr + hdr_tail) in
   if tail = 0 then begin
     Htm.write tx (t.hdr + hdr_head) node;
@@ -51,7 +54,7 @@ let deq_tx t tx =
     let next = Htm.read tx (head + off_next) in
     Htm.write tx (t.hdr + hdr_head) next;
     if next = 0 then Htm.write tx (t.hdr + hdr_tail) 0;
-    t.deq_val.(Htm.tx_tid tx) <- Htm.read tx (head + off_val);
+    t.deq_val.(tslot t (Htm.tx_tid tx)) <- Htm.read tx (head + off_val);
     Htm.defer_free tx head;
     true
   end
@@ -64,8 +67,8 @@ let create htm ctx =
     {
       htm;
       hdr;
-      enq_arg = Array.make (Sim.max_threads + 1) 0;
-      deq_val = Array.make (Sim.max_threads + 1) 0;
+      enq_arg = Array.make (Simmem.thread_slots mem) 0;
+      deq_val = Array.make (Simmem.thread_slots mem) 0;
       enq_body = ignore;
       deq_body = (fun _ -> false);
     }
@@ -79,13 +82,13 @@ let enqueue t ctx v =
   let node = Simmem.malloc mem ctx node_words in
   Simmem.label mem ctx ~name:"HtmQueue.node" ~base:node ~words:node_words;
   Simmem.write mem ctx (node + off_val) v;
-  t.enq_arg.(Sim.tid ctx) <- node;
+  t.enq_arg.(tslot t (Sim.tid ctx)) <- node;
   Htm.atomic t.htm ctx t.enq_body
 
 let dequeue_drop t ctx = Htm.atomic t.htm ctx t.deq_body
 
 let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
+  if dequeue_drop t ctx then Some t.deq_val.(tslot t (Sim.tid ctx)) else None
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in

@@ -37,6 +37,9 @@ type t = {
   scan_threshold : int;
 }
 
+(* The acting thread's slot in the per-thread host tables. *)
+let tslot t ctx = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx)
+
 let create htm ctx ~num_threads =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx hdr_words in
@@ -54,16 +57,16 @@ let create htm ctx ~num_threads =
     htm;
     hdr;
     announcements;
-    handles = Array.make (Sim.max_threads + 1) None;
-    retired = Array.make (Sim.max_threads + 1) [];
-    retired_count = Array.make (Sim.max_threads + 1) 0;
+    handles = Array.make (Simmem.thread_slots mem) None;
+    retired = Array.make (Simmem.thread_slots mem) [];
+    retired_count = Array.make (Simmem.thread_slots mem) 0;
     scan_threshold = (4 * num_threads) + 4;
   }
 
 (* Lazy per-thread registration: the first operation by a thread claims
    its two announcement handles; the object grows with actual users. *)
 let my_handles t ctx =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   match t.handles.(tid) with
   | Some hs -> hs
   | None ->
@@ -86,7 +89,7 @@ let scan t ctx =
   let mem = Htm.mem t.htm in
   let buf = Sim.Ibuf.create () in
   t.announcements.collect ctx buf;
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   let announced node = Sim.Ibuf.fold (fun acc v -> acc || v = node) false buf in
   let keep, free_list = List.partition announced t.retired.(tid) in
   List.iter (fun node -> Simmem.free mem ctx node) free_list;
@@ -94,7 +97,7 @@ let scan t ctx =
   t.retired_count.(tid) <- List.length keep
 
 let retire t ctx node =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   t.retired.(tid) <- node :: t.retired.(tid);
   t.retired_count.(tid) <- t.retired_count.(tid) + 1;
   if t.retired_count.(tid) >= t.scan_threshold then scan t ctx

@@ -57,6 +57,9 @@ let slot_index t ctx =
 
 let ann_addr t slot = t.ann + slot
 
+(* The acting thread's slot in the per-thread host tables. *)
+let tslot t ctx = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx)
+
 (* The announcement must be globally visible before the thread starts
    traversing, or a reclaimer can scan past it and advance the epoch with
    this reader unaccounted — the same store-load fence ROP pays, but once
@@ -74,7 +77,9 @@ let create htm ctx ~num_threads ~grace ~advance_every =
   Simmem.write mem ctx (hdr + hdr_head) sentinel;
   Simmem.write mem ctx (hdr + hdr_tail) sentinel;
   Simmem.write mem ctx (hdr + hdr_epoch) 1;
-  let slots = Sim.max_threads + 1 in
+  (* Limbo is keyed by the announcement slot ([slot_index]), so it has
+     one entry per announcement word. *)
+  let slots = num_threads + 1 in
   {
     htm;
     hdr;
@@ -86,7 +91,7 @@ let create htm ctx ~num_threads ~grace ~advance_every =
     limbo_n = Array.make (slots * buckets) 0;
     limbo_epoch = Array.make (slots * buckets) 0;
     since_advance = Array.make slots 0;
-    deq_val = Array.make slots 0;
+    deq_val = Array.make (Simmem.thread_slots mem) 0;
   }
 
 (* Free this thread's limbo buckets whose epoch has aged out: retired in
@@ -229,7 +234,7 @@ let rec deq_loop t mem ctx bound =
   else begin
     let v = Simmem.read mem ctx (next + off_val) in
     if Simmem.cas mem ctx (t.hdr + hdr_head) ~expected:head ~desired:next then begin
-      t.deq_val.(Sim.tid ctx) <- v;
+      t.deq_val.(tslot t ctx) <- v;
       retire t ctx head;
       true
     end
@@ -243,7 +248,7 @@ let dequeue_drop t ctx =
   r
 
 let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
+  if dequeue_drop t ctx then Some t.deq_val.(tslot t ctx) else None
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in

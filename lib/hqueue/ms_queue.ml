@@ -35,8 +35,11 @@ type t = {
   deq_val : int array; (* per-thread value of the last successful dequeue *)
 }
 
+(* The acting thread's slot in the per-thread host tables. *)
+let tslot t ctx = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx)
+
 let alloc_node t ctx =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   let n = t.pool_n.(tid) in
   if n > 0 then begin
     t.pool_n.(tid) <- n - 1;
@@ -50,7 +53,7 @@ let alloc_node t ctx =
   end
 
 let retire_node t ctx node =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   let n = t.pool_n.(tid) in
   let pool = t.pools.(tid) in
   if n = Array.length pool then begin
@@ -72,9 +75,9 @@ let create htm ctx =
   {
     htm;
     hdr;
-    pools = Array.make (Sim.max_threads + 1) [||];
-    pool_n = Array.make (Sim.max_threads + 1) 0;
-    deq_val = Array.make (Sim.max_threads + 1) 0;
+    pools = Array.make (Simmem.thread_slots mem) [||];
+    pool_n = Array.make (Simmem.thread_slots mem) 0;
+    deq_val = Array.make (Simmem.thread_slots mem) 0;
   }
 
 (* One randomized backoff delay, inlined from [Sim.Backoff.once] (same
@@ -149,7 +152,7 @@ let rec deq_loop t mem ctx bound =
         Simmem.cas mem ctx (t.hdr + hdr_head) ~expected:head
           ~desired:(pack ~tag:(tag_of head + 1) ~ptr:(ptr_of next))
       then begin
-        t.deq_val.(Sim.tid ctx) <- v;
+        t.deq_val.(tslot t ctx) <- v;
         retire_node t ctx (ptr_of head);
         true
       end
@@ -161,7 +164,7 @@ let rec deq_loop t mem ctx bound =
 let dequeue_drop t ctx = deq_loop t (Htm.mem t.htm) ctx backoff_base
 
 let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
+  if dequeue_drop t ctx then Some t.deq_val.(tslot t ctx) else None
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in

@@ -42,6 +42,9 @@ type t = {
   deq_val : int array; (* per-thread value of the last successful dequeue *)
 }
 
+(* The acting thread's slot in the per-thread host tables. *)
+let tslot t ctx = Simmem.thread_slot (Htm.mem t.htm) (Sim.tid ctx)
+
 let slot_index t ctx =
   let tid = Sim.tid ctx in
   if tid = Sim.boot_tid then t.num_threads
@@ -85,11 +88,11 @@ let create htm ctx ~num_threads =
     hdr;
     hz;
     num_threads;
-    retired = Array.make (Sim.max_threads + 1) [||];
-    retired_count = Array.make (Sim.max_threads + 1) 0;
+    retired = Array.make (Simmem.thread_slots mem) [||];
+    retired_count = Array.make (Simmem.thread_slots mem) 0;
     scan_threshold = (2 * hazards_per_thread * (num_threads + 1)) + 2;
-    announced = Array.make (Sim.max_threads + 1) [||];
-    deq_val = Array.make (Sim.max_threads + 1) 0;
+    announced = Array.make (Simmem.thread_slots mem) [||];
+    deq_val = Array.make (Simmem.thread_slots mem) 0;
   }
 
 let is_announced snap nslots node =
@@ -107,7 +110,7 @@ let is_announced snap nslots node =
 let scan t ctx =
   let mem = Htm.mem t.htm in
   let nslots = hazards_per_thread * (t.num_threads + 1) in
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   if Array.length t.announced.(tid) < nslots then
     t.announced.(tid) <- Array.make nslots 0;
   let snap = t.announced.(tid) in
@@ -129,7 +132,7 @@ let scan t ctx =
   t.retired_count.(tid) <- !kept
 
 let retire t ctx node =
-  let tid = Sim.tid ctx in
+  let tid = tslot t ctx in
   let n = t.retired_count.(tid) in
   let r = t.retired.(tid) in
   if n = Array.length r then begin
@@ -208,7 +211,7 @@ let rec deq_loop t mem ctx bound =
     else begin
       let v = Simmem.read mem ctx (next + off_val) in
       if Simmem.cas mem ctx (t.hdr + hdr_head) ~expected:head ~desired:next then begin
-        t.deq_val.(Sim.tid ctx) <- v;
+        t.deq_val.(tslot t ctx) <- v;
         retire t ctx head;
         true
       end
@@ -222,7 +225,7 @@ let dequeue_drop t ctx =
   r
 
 let dequeue t ctx =
-  if dequeue_drop t ctx then Some t.deq_val.(Sim.tid ctx) else None
+  if dequeue_drop t ctx then Some t.deq_val.(tslot t ctx) else None
 
 let destroy t ctx =
   let mem = Htm.mem t.htm in

@@ -170,7 +170,7 @@ let create ?(config = default_config) ?metrics mem =
   {
     hmem = mem;
     cfg = config;
-    pool = Array.make (Sim.max_threads + 1) None;
+    pool = Array.make (Simmem.thread_slots mem) None;
     mreg;
     c_commits = Obs.Metrics.counter ~per_thread:true mreg "htm.commits";
     c_conflict = Obs.Metrics.counter ~per_thread:true mreg "htm.aborts.conflict";
@@ -282,15 +282,15 @@ let fresh_tx h ctx =
    read/write/free sets are preallocated arrays that only grow. A nested
    [atomic] (pool slot busy) falls back to a fresh descriptor. *)
 let get_tx h ctx =
-  let tid = Sim.tid ctx in
-  match h.pool.(tid) with
+  let slot = Simmem.thread_slot h.hmem (Sim.tid ctx) in
+  match h.pool.(slot) with
   | Some tx when not tx.busy ->
     tx.ctx <- ctx;
     tx
   | Some _ -> fresh_tx h ctx
   | None ->
     let tx = fresh_tx h ctx in
-    h.pool.(tid) <- Some tx;
+    h.pool.(slot) <- Some tx;
     tx
 
 (* Read-set validation. Under [Word] the noted versions are word

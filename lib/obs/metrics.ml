@@ -1,9 +1,16 @@
 let max_tids = 257
 let hist_buckets = 62
 
+(* A per-thread counter keeps runnable tids in [c_per], grown on first
+   use of a higher tid (a cold path: registries are shared across
+   machines of different thread capacity), and the boot context
+   ([max_tids - 1]) in [c_boot], so a machine whose threads stay low
+   never allocates a table sized for the widest one. *)
 type counter = {
   mutable c_total : int;
-  c_per : int array option;
+  c_tracked : bool; (* registered with [per_thread] *)
+  mutable c_per : int array;
+  mutable c_boot : int;
   c_parent : counter option;
 }
 
@@ -44,27 +51,45 @@ let rec counter ?(per_thread = false) t name =
     let c =
       {
         c_total = 0;
-        c_per = (if per_thread then Some (Array.make max_tids 0) else None);
+        c_tracked = per_thread;
+        c_per = [||];
+        c_boot = 0;
         c_parent = parent;
       }
     in
     register t name (M_counter c);
     c
 
+let boot_slot = max_tids - 1
+
+(* Attribute [by] to [tid] outside the grown table: the boot slot, or a
+   runnable tid the table does not reach yet. *)
+let per_slow c tid by =
+  if c.c_tracked && tid >= 0 && tid < max_tids then
+    if tid = boot_slot then c.c_boot <- c.c_boot + by
+    else begin
+      let len = Array.length c.c_per in
+      if tid >= len then begin
+        let per = Array.make (min boot_slot (max (tid + 1) (max 8 (2 * len)))) 0 in
+        Array.blit c.c_per 0 per 0 len;
+        c.c_per <- per
+      end;
+      c.c_per.(tid) <- c.c_per.(tid) + by
+    end
+
 let rec incr ?tid ?(by = 1) c =
   c.c_total <- c.c_total + by;
-  (match (c.c_per, tid) with
-   | Some per, Some tid when tid >= 0 && tid < max_tids -> per.(tid) <- per.(tid) + by
-   | _ -> ());
+  (match tid with Some tid -> per_slow c tid by | None -> ());
   match c.c_parent with None -> () | Some p -> incr ?tid ~by p
 
 (* Hot-path variants: no optional arguments, so callers pass unboxed ints
    and the call compiles to straight-line field updates. *)
 let rec incr_t c tid =
   c.c_total <- c.c_total + 1;
-  (match c.c_per with
-   | Some per when tid >= 0 && tid < max_tids -> per.(tid) <- per.(tid) + 1
-   | _ -> ());
+  let per = c.c_per in
+  if tid >= 0 && tid < Array.length per then
+    Array.unsafe_set per tid (Array.unsafe_get per tid + 1)
+  else per_slow c tid 1;
   match c.c_parent with None -> () | Some p -> incr_t p tid
 
 let rec incr1 c =
@@ -78,14 +103,11 @@ let rec incr_by c by =
 let value c = c.c_total
 
 let per_thread c =
-  match c.c_per with
-  | None -> []
-  | Some per ->
-    let acc = ref [] in
-    for tid = max_tids - 1 downto 0 do
-      if per.(tid) <> 0 then acc := (tid, per.(tid)) :: !acc
-    done;
-    !acc
+  let acc = ref (if c.c_boot <> 0 then [ (boot_slot, c.c_boot) ] else []) in
+  for tid = Array.length c.c_per - 1 downto 0 do
+    if c.c_per.(tid) <> 0 then acc := (tid, c.c_per.(tid)) :: !acc
+  done;
+  !acc
 
 let rec gauge t name =
   match Hashtbl.find_opt t.tbl name with
@@ -163,7 +185,8 @@ let hist_count h = h.h_n
 
 let reset_counter c =
   c.c_total <- 0;
-  match c.c_per with None -> () | Some per -> Array.fill per 0 max_tids 0
+  Array.fill c.c_per 0 (Array.length c.c_per) 0;
+  c.c_boot <- 0
 
 let reset_gauge g =
   g.g_cur <- 0;

@@ -26,7 +26,9 @@ type counter
 
 val counter : ?per_thread:bool -> t -> string -> counter
 (** Get or register. With [per_thread] the counter additionally keeps a
-    per-thread breakdown (thread ids up to {!max_tids} - 1). *)
+    per-thread breakdown (thread ids up to {!max_tids} - 1). The breakdown
+    grows to the highest thread id counted so far, so a registry shared
+    by machines of different widths sizes itself to the widest. *)
 
 val incr : ?tid:int -> ?by:int -> counter -> unit
 (** Add [by] (default 1), attributed to [tid] when the counter is
@@ -49,8 +51,8 @@ val per_thread : counter -> (int * int) list
     empty for counters registered without [per_thread]. *)
 
 val max_tids : int
-(** Per-thread slots per counter (257: covers {!Sim.max_threads} runnable
-    threads plus the boot context). *)
+(** Thread ids a per-thread breakdown can attribute (257: {!Sim.max_threads}
+    runnable threads plus the boot context, [max_tids - 1]). *)
 
 (** {1 Gauges}
 

@@ -380,37 +380,30 @@ let pick_min s =
   s.pick_min2 <- !m2;
   !best
 
-let is_runnable s i =
-  match s.statuses.(i) with Not_started _ | Ready _ -> true | Running | Finished -> false
+(* Exploring-mode decisions read the runnable bitset. Exploring runs are
+   guarded to [mask_threads] threads, so the set is the single word
+   [s.runnable.(0)], bit [i] for thread [i] — already the recorder's
+   runnable-tid mask. Set bits are walked in ascending tid order, the
+   order the strategies' choices and RNG draws are defined in. *)
+let runnable_mask s = s.runnable.(0)
 
 let count_runnable s =
-  let c = ref 0 in
-  for i = 0 to Array.length s.ctxs - 1 do
-    if is_runnable s i then incr c
+  let c = ref 0 and w = ref (runnable_mask s) in
+  while !w <> 0 do
+    w := !w land (!w - 1);
+    incr c
   done;
   !c
 
-let runnable_mask s =
-  let m = ref 0 in
-  for i = 0 to Array.length s.ctxs - 1 do
-    if is_runnable s i then m := !m lor (1 lsl i)
-  done;
-  !m
+let is_runnable s i = i >= 0 && i < mask_threads && runnable_mask s land (1 lsl i) <> 0
 
+(* The [k]-th runnable tid in ascending order (0-based), -1 if none. *)
 let nth_runnable s k =
-  let seen = ref 0 and found = ref (-1) in
-  (try
-     for i = 0 to Array.length s.ctxs - 1 do
-       if is_runnable s i then begin
-         if !seen = k then begin
-           found := i;
-           raise Exit
-         end;
-         incr seen
-       end
-     done
-   with Exit -> ());
-  !found
+  let w = ref (runnable_mask s) in
+  for _ = 1 to k do
+    w := !w land (!w - 1)
+  done;
+  if !w = 0 then -1 else ntz (!w land (- !w))
 
 (* One scheduling decision. In exploring mode the min-clock pick (and its
    tie-break RNG draws) is computed at every decision even when another
@@ -427,13 +420,16 @@ let pick s =
       | S_min -> d
       | S_dev tbl ->
         (match Hashtbl.find_opt tbl s.choice_idx with
-         | Some tid when tid >= 0 && tid < Array.length s.ctxs && is_runnable s tid -> tid
+         | Some tid when is_runnable s tid -> tid
          | Some _ | None -> d)
       | S_random rng -> if nr <= 1 then d else nth_runnable s (Rng.int rng nr)
       | S_pct p ->
-        let best = ref (-1) in
-        for i = 0 to Array.length s.ctxs - 1 do
-          if is_runnable s i && (!best < 0 || p.prio.(i) > p.prio.(!best)) then best := i
+        let best = ref (-1) and w = ref (runnable_mask s) in
+        while !w <> 0 do
+          let b = !w land (- !w) in
+          w := !w lxor b;
+          let i = ntz b in
+          if !best < 0 || p.prio.(i) > p.prio.(!best) then best := i
         done;
         !best
     in

@@ -132,8 +132,8 @@ let op_of_code = function
 let no_writer = -1
 
 (* One thread's FIFO store buffer (active only under a buffered
-   {!Sim.Memmodel}): a fixed ring of (addr, value) pairs in two
-   preallocated int arrays, filled lazily on first buffered store —
+   {!Sim.Memmodel}): a fixed ring of (addr, value) pairs in two int
+   arrays, allocated on the thread's first buffered store —
    entries in issue order, [sb_head] the oldest, [sb_len] the count (the
    write path drains one entry before pushing at capacity, so
    [sb_len <= depth] always). [sb_reg] remembers which [Sim.tctx]
@@ -161,8 +161,10 @@ type t = {
   alloc : alloc_policy;
   cap : int; (* thread capacity: distinct non-boot tids the sharer sets track *)
   sw : int; (* sharer words per line *)
-  sbufs : sbuf array; (* indexed by tid; slot [Sim.boot_tid] stays empty *)
-  arenas : arena option array; (* indexed by tid; empty under Shared_lifo *)
+  (* Per-thread tables are indexed by [thread_slot]; [sbufs] stays empty
+     until the first buffered store, [arenas] under [Shared_lifo]. *)
+  mutable sbufs : sbuf array;
+  arenas : arena option array;
   mutable values : int array;
   mutable versions : int array;
   mutable state : Bytes.t;
@@ -226,7 +228,10 @@ type stats = {
   atomics : int;
 }
 
-let initial_words = 1 lsl 12
+(* The arrays start small and double on demand: growth is host-side
+   bookkeeping only (addresses come from the bump pointer, not from the
+   array length), so a machine pays for the words it touches. *)
+let initial_words = 1 lsl 8
 let default_cap = 61
 
 let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
@@ -245,11 +250,8 @@ let create ?(costs = default_costs) ?(model = Sim.Memmodel.sc) ?metrics
     alloc;
     cap;
     sw;
-    sbufs =
-      Array.init (Sim.max_threads + 1) (fun _ ->
-          { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None });
-    arenas =
-      (if arena_mode then Array.make (Sim.max_threads + 1) None else [||]);
+    sbufs = [||];
+    arenas = (if arena_mode then Array.make (cap + 1) None else [||]);
     values = Array.make initial_words 0;
     versions = Array.make initial_words 0;
     state = Bytes.make initial_words (Char.chr st_never);
@@ -285,7 +287,7 @@ let stats (t : t) =
     match t.arenas.(tid) with
     | None -> ()
     | Some a ->
-      arena_extents := (tid, a.a_carved) :: !arena_extents;
+      arena_extents := (a.a_tid, a.a_carved) :: !arena_extents;
       remote_frees := !remote_frees + a.a_remote_frees;
       remote_pending := !remote_pending + a.a_rq_len
   done;
@@ -317,16 +319,20 @@ let line_of addr = addr lsr line_shift
 let line_version t line = t.lversions.(line)
 let line_writer t line = t.lw_tid.(line)
 
-(* Bit index of [tid] in a sharer set: runnable tids map to themselves,
-   boot contexts to the reserved top index. A runnable tid at or beyond
-   the heap's capacity has no bit to occupy — the heap must be created
-   with [~threads] covering the run. *)
-let bindex t tid =
-  if tid < t.cap then tid
-  else if tid = Sim.boot_tid then t.cap
-  else
-    invalid_arg
-      (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
+(* The one per-thread indexing rule of a machine: runnable tids map to
+   themselves, boot contexts to the reserved top index [cap]. Sharer-set
+   bits, the heap's own per-thread tables and those of the layers built
+   on it ({!thread_slots}) all use it. A runnable tid at or beyond the
+   heap's capacity has no slot to occupy — the heap must be created with
+   [~threads] covering the run. *)
+let over_capacity t tid =
+  invalid_arg
+    (Printf.sprintf "Simmem: thread %d exceeds this heap's capacity %d" tid t.cap)
+
+let thread_slot t tid =
+  if tid < t.cap then tid else if tid = Sim.boot_tid then t.cap else over_capacity t tid
+
+let thread_slots t = t.cap + 1
 
 let label (_ : t) ctx ~name ~base ~words =
   if Sim.observed ctx then Sim.emit ctx (Obs.Event.Label { name; base; words })
@@ -505,7 +511,7 @@ let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
 let read_cost t ctx addr =
   let tid = Sim.tid ctx in
   let line = addr lsr line_shift in
-  let b = bindex t tid in
+  let b = thread_slot t tid in
   Obs.Metrics.incr_t t.c_reads tid;
   if t.sw = 1 then begin
     (* Paper-scale heaps: the whole sharer set is one word, exactly the
@@ -540,7 +546,7 @@ let read_cost t ctx addr =
 let write_cost t ctx addr =
   let tid = Sim.tid ctx in
   let line = addr lsr line_shift in
-  let b = bindex t tid in
+  let b = thread_slot t tid in
   Obs.Metrics.incr_t t.c_writes tid;
   if t.sw = 1 then begin
     let bit = 1 lsl b in
@@ -588,7 +594,22 @@ let write_cost t ctx addr =
    below collapses to the pre-weak-memory instruction sequence. *)
 
 let buffering t ctx = t.model.Sim.Memmodel.buffered && Sim.tid ctx <> Sim.boot_tid
-let sbuf_of t ctx = t.sbufs.(Sim.tid ctx)
+
+let empty_sbuf () = { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None }
+
+(* The acting thread's buffer; [no_sbuf] (always empty, never pushed to)
+   while the heap has buffered nothing, so lookups allocate nothing. *)
+let no_sbuf = empty_sbuf ()
+
+let sbuf_of t ctx =
+  if Array.length t.sbufs = 0 then no_sbuf else t.sbufs.(thread_slot t (Sim.tid ctx))
+
+(* The store path's lookup: builds the table on the heap's first
+   buffered store. *)
+let sbuf_for_store t ctx =
+  if Array.length t.sbufs = 0 then
+    t.sbufs <- Array.init (thread_slots t) (fun _ -> empty_sbuf ());
+  t.sbufs.(thread_slot t (Sim.tid ctx))
 
 (* Ring primitives: the capacity equals the model's buffer depth (the
    write path drains before pushing at capacity, so it never overflows). *)
@@ -719,7 +740,7 @@ let write_through t ctx addr v =
 let write t ctx addr v =
   if buffering t ctx then begin
     check_live t addr;
-    let sb = sbuf_of t ctx in
+    let sb = sbuf_for_store t ctx in
     sb_ensure t sb;
     ensure_drain_hook t ctx sb;
     if sb.sb_len >= t.model.Sim.Memmodel.sb_depth then
@@ -890,8 +911,9 @@ let arena_rq_push a base gran =
    allocation. *)
 let arena_of t ctx =
   let tid = Sim.tid ctx in
+  let slot = thread_slot t tid in
   let a =
-    match t.arenas.(tid) with
+    match t.arenas.(slot) with
     | Some a -> a
     | None ->
       let a =
@@ -909,7 +931,7 @@ let arena_of t ctx =
           a_reg = None;
         }
       in
-      t.arenas.(tid) <- Some a;
+      t.arenas.(slot) <- Some a;
       a
   in
   let current = match a.a_reg with Some c -> c == ctx | None -> false in
@@ -1012,7 +1034,7 @@ let free t ctx base =
        let tid = Sim.tid ctx in
        if owner = tid || owner < 0 then arena_fl_push t (arena_of t ctx) gran base
        else
-         match t.arenas.(owner) with
+         match t.arenas.(thread_slot t owner) with
          | Some a -> arena_rq_push a base gran
          | None -> arena_fl_push t (arena_of t ctx) gran base
      end

@@ -125,12 +125,14 @@ val create :
     for runnable thread ids below [max 61 threads] (plus boot contexts).
     The default covers every paper-scale run in one word per line; scaled
     experiments pass the simulated thread count and pay one extra word
-    per line per further 62 threads. An access by a runnable tid at or
-    beyond the capacity raises [Invalid_argument].
+    per line per further 62 threads. The same capacity sizes every
+    per-thread table of the machine ({!thread_slots}). An access by a
+    runnable tid at or beyond the capacity raises [Invalid_argument].
 
-    [initial_words] preallocates the heap arrays (default 4096 words);
-    the heap still grows on demand beyond it. Million-word experiments
-    reserve up front so growth never lands mid-measurement.
+    [initial_words] is a pre-size hint only: the heap arrays start at
+    that many words (default 256) and double on demand. Growth is host
+    bookkeeping — no cycles, no RNG, no address change — so a run is
+    identical whatever the hint; only its host-side cost moves.
 
     [model] selects the memory-consistency variant (default
     {!Sim.Memmodel.sc}, the pre-weak-memory behavior). Under a buffered
@@ -153,6 +155,18 @@ val metrics : t -> Obs.Metrics.t
     [mem.live_blocks] gauges (high-water mark = peak), and the
     [mem.queue_wait] histogram of cycles spent queued behind another
     in-flight transfer of the same line. *)
+
+val thread_slots : t -> int
+(** Slots of a per-thread table sized for this heap: its thread capacity
+    plus one. Every per-machine per-thread table (the heap's own, the
+    HTM domain's, a structure's) is [Array.make (thread_slots mem) _],
+    indexed by {!thread_slot}. *)
+
+val thread_slot : t -> int -> int
+(** [thread_slot t tid] is [tid] for a runnable thread below the heap's
+    capacity and [thread_slots t - 1] for a boot context — the mapping the
+    sharer sets use. Slot order is tid order, boot last.
+    @raise Invalid_argument for a runnable tid at or beyond the capacity. *)
 
 val costs : t -> cost_model
 

@@ -44,7 +44,7 @@ type t = {
 let create () =
   {
     next_value = 0;
-    values = Hashtbl.create 1024;
+    values = Hashtbl.create 64;
     current = Hashtbl.create 64;
     instances = [];
     collects = [];
@@ -146,7 +146,7 @@ type verdict = { checked_collects : int; checked_values : int }
 exception Violation of string
 
 let check t =
-  let next_end = Hashtbl.create 1024 in
+  let next_end = Hashtbl.create 64 in
   List.iter
     (fun il ->
       let tbl = next_event_end il in

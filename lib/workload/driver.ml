@@ -65,7 +65,7 @@ let obs () = (state ()).st_obs
 let observers () = List.rev (state ()).st_observers
 
 let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
-    ?heap_words ?alloc () =
+    ?alloc () =
   let st = state () in
   let o = st.st_obs in
   st.st_seq <- st.st_seq + 1;
@@ -73,8 +73,7 @@ let machine ?(htm_config = Htm.default_config) ?(seed = 1) ?label ?threads
     match label with Some l -> l | None -> Printf.sprintf "machine-%d" st.st_seq
   in
   let mem =
-    Simmem.create ?metrics:o.obs_metrics ?threads ?initial_words:heap_words
-      ?alloc ()
+    Simmem.create ?metrics:o.obs_metrics ?threads ?alloc ()
   in
   let observer = if o.obs_observer then Some (Obs.Forensics.create ()) else None in
   Option.iter (fun ob -> st.st_observers <- (name, ob) :: st.st_observers) observer;

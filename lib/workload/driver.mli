@@ -56,16 +56,13 @@ val machine :
   ?seed:int ->
   ?label:string ->
   ?threads:int ->
-  ?heap_words:int ->
   ?alloc:Simmem.alloc_policy ->
   unit ->
   machine
 (** [label] names the machine's tracer process and observer entry
     (default ["machine-<n>"] in creation order). [threads] sizes the
-    heap's sharer sets for runs wider than the 61-thread default;
-    [heap_words] sets the initial heap extent (see {!Simmem.create}) —
-    the scale study passes million-word heaps so growth never perturbs
-    the measured region. [alloc] selects the allocation policy (default
+    heap's sharer sets and per-thread tables for runs wider than the
+    61-thread default. [alloc] selects the allocation policy (default
     {!Simmem.Shared_lifo}; [bench placement] builds arena machines per
     placement and records the policy label in its artifact). *)
 

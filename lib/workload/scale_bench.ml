@@ -1,5 +1,5 @@
 (** The scaling study: fig1/fig3-shaped workloads at 16–256 simulated
-    threads on million-word heaps.
+    threads.
 
     The paper stops at 16 threads because Rock did. The flat simulator
     core removes that practical ceiling, so this experiment re-asks the
@@ -7,16 +7,15 @@
     Michael-Scott curve still flatten against the HTM queue (fig 1), and
     do HoHRC's collapse and SearchNo's overtaking survive (fig 3)?
 
-    Machines here are built with [~threads] (so the heap sizes its sharer
-    sets for the wide run) and [~heap_words] (a million-word initial
-    extent, so heap growth never lands inside the measured window). The
-    workload loops themselves are deliberately the same code shape as
-    {!Queue_bench} and {!Collect_dominated}; only the population scales
-    with the thread count. *)
+    Machines here are built with [~threads], so the heap sizes its sharer
+    sets and per-thread tables for the wide run. The heap grows on demand
+    like every other machine's: growth is host bookkeeping, invisible in
+    virtual time, so no pre-sizing is needed. The workload loops
+    themselves are deliberately the same code shape as {!Queue_bench} and
+    {!Collect_dominated}; only the population scales with the thread
+    count. *)
 
 type result = { subject : string; threads : int; throughput : float }
-
-let heap_words = 1 lsl 20
 
 (* Queue cells: the fig1 loop (coin-flip enqueue/dequeue, prefilled) at
    scale. Prefill grows with the thread count so the queue does not drain
@@ -25,7 +24,7 @@ let queue_one (maker : Hqueue.Intf.maker) ~threads ~duration ~seed =
   let m =
     Driver.machine ~seed
       ~label:(Printf.sprintf "scale/%s x%d" maker.queue_name threads)
-      ~threads ~heap_words ()
+      ~threads ()
   in
   let q = maker.make m.htm m.boot ~num_threads:threads in
   for _ = 1 to 4 * threads do
@@ -56,7 +55,7 @@ let collect_one (maker : Collect.Intf.maker) ~threads ~duration ~seed =
   let m =
     Driver.machine ~seed
       ~label:(Printf.sprintf "scale/%s x%d" maker.algo_name threads)
-      ~threads ~heap_words ()
+      ~threads ()
   in
   let per_thread = 4 in
   let cfg =

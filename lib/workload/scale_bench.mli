@@ -1,12 +1,8 @@
 (** The scaling study: fig1/fig3-shaped workloads at 16–256 simulated
-    threads on million-word heaps, asking whether the paper's headline
+    threads, asking whether the paper's headline
     shapes survive past Rock's 16 cores. *)
 
 type result = { subject : string; threads : int; throughput : float }
-
-val heap_words : int
-(** Initial heap extent of every scale machine (2^20 words), so growth
-    never perturbs the measured window. *)
 
 val default_threads : int list
 (** [16; 64; 128; 256]. *)

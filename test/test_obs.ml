@@ -197,6 +197,68 @@ let test_metrics_snapshot () =
       (Obs.Json.member "schema" v = Some (Obs.Json.Str "metrics/1"))
   | Error e -> Alcotest.failf "metrics json unparseable: %s" e
 
+(* The per-thread breakdown a machine run leaves in its registries: the
+   boot context (tid 256) and runnable tids 0-2 touch the heap and the
+   HTM domain, the local registries chain to one parent, and a second
+   registry absorbs the parent's snapshot. The rendered snapshots are
+   pinned byte for byte, so however the per-thread tables are laid out
+   the listed (tid, n) pairs cannot move. *)
+let metrics_per_thread_golden =
+  String.concat "\n"
+    [
+      {|metric            kind     value  detail                 |};
+      {|mem.write_misses  counter  10     t0:2 t1:3 t2:3 t256:2  |};
+      {|mem.writes        counter  11     t0:2 t1:3 t2:4 t256:2  |};
+      {|mem.read_misses   counter  8      t0:1 t1:2 t2:3 t256:2  |};
+      {|mem.reads         counter  11     t0:2 t1:3 t2:4 t256:2  |};
+      {|{"schema":"metrics/1","metrics":{"mem.queue_wait":{"buckets":[[8,2],[16,1],[64,3],[128,2],[256,1],[512,1]]},"mem.live_blocks":{"current":2,"high":2},"mem.live_words":{"current":24,"high":24},"mem.frees":{"total":0},"mem.allocs":{"total":2},"mem.atomics":{"total":0},"mem.write_misses":{"total":10,"per_thread":{"0":2,"1":3,"2":3,"256":2}},"mem.writes":{"total":11,"per_thread":{"0":2,"1":3,"2":4,"256":2}},"mem.read_misses":{"total":8,"per_thread":{"0":1,"1":2,"2":3,"256":2}},"mem.reads":{"total":11,"per_thread":{"0":2,"1":3,"2":4,"256":2}}}}|};
+      {|--|};
+      {|metric           kind     value  detail                 |};
+      {|htm.attempts.hw  counter  4      t0:1 t1:1 t2:1 t256:1  |};
+      {|htm.commits      counter  4      t0:1 t1:1 t2:1 t256:1  |};
+      {|{"schema":"metrics/1","metrics":{"htm.stores_per_tx":{"buckets":[[1,4]]},"htm.commit_cycles":{"buckets":[[128,3],[512,1]]},"htm.max_consecutive_aborts":{"current":0,"high":0},"htm.escalations.stm":{"total":0},"htm.attempts.tle":{"total":0},"htm.attempts.stm":{"total":0},"htm.attempts.hw":{"total":4,"per_thread":{"0":1,"1":1,"2":1,"256":1}},"htm.commit_cycles_total":{"total":1183},"htm.fallbacks":{"total":0},"htm.aborts.spurious":{"total":0},"htm.aborts.lock_held":{"total":0},"htm.aborts.explicit":{"total":0},"htm.aborts.illegal":{"total":0},"htm.aborts.overflow":{"total":0},"htm.aborts.conflict":{"total":0},"htm.commits":{"total":4,"per_thread":{"0":1,"1":1,"2":1,"256":1}}}}|};
+      {|--|};
+      {|metric            kind     value  detail                 |};
+      {|mem.write_misses  counter  10     t0:2 t1:3 t2:3 t256:2  |};
+      {|mem.writes        counter  11     t0:2 t1:3 t2:4 t256:2  |};
+      {|mem.read_misses   counter  8      t0:1 t1:2 t2:3 t256:2  |};
+      {|mem.reads         counter  11     t0:2 t1:3 t2:4 t256:2  |};
+      {|htm.attempts.hw   counter  4      t0:1 t1:1 t2:1 t256:1  |};
+      {|htm.commits       counter  4      t0:1 t1:1 t2:1 t256:1  |};
+      {|{"schema":"metrics/1","metrics":{"mem.queue_wait":{"buckets":[[8,2],[16,1],[64,3],[128,2],[256,1],[512,1]]},"mem.live_blocks":{"current":2,"high":2},"mem.live_words":{"current":24,"high":24},"mem.frees":{"total":0},"mem.allocs":{"total":2},"mem.atomics":{"total":0},"mem.write_misses":{"total":10,"per_thread":{"0":2,"1":3,"2":3,"256":2}},"mem.writes":{"total":11,"per_thread":{"0":2,"1":3,"2":4,"256":2}},"mem.read_misses":{"total":8,"per_thread":{"0":1,"1":2,"2":3,"256":2}},"mem.reads":{"total":11,"per_thread":{"0":2,"1":3,"2":4,"256":2}},"htm.stores_per_tx":{"buckets":[[1,4]]},"htm.commit_cycles":{"buckets":[[128,3],[512,1]]},"htm.max_consecutive_aborts":{"current":0,"high":0},"htm.escalations.stm":{"total":0},"htm.attempts.tle":{"total":0},"htm.attempts.stm":{"total":0},"htm.attempts.hw":{"total":4,"per_thread":{"0":1,"1":1,"2":1,"256":1}},"htm.commit_cycles_total":{"total":1183},"htm.fallbacks":{"total":0},"htm.aborts.spurious":{"total":0},"htm.aborts.lock_held":{"total":0},"htm.aborts.explicit":{"total":0},"htm.aborts.illegal":{"total":0},"htm.aborts.overflow":{"total":0},"htm.aborts.conflict":{"total":0},"htm.commits":{"total":4,"per_thread":{"0":1,"1":1,"2":1,"256":1}}}}|};
+    ]
+
+let test_metrics_per_thread_golden () =
+  let parent = Obs.Metrics.create () in
+  let mem = Simmem.create ~metrics:parent () in
+  let htm = Htm.create ~metrics:parent mem in
+  let boot = Sim.boot () in
+  let a = Simmem.malloc mem boot 16 in
+  Simmem.write mem boot a 1;
+  ignore (Simmem.read mem boot (a + 8));
+  Sim.run ~seed:3
+    (Array.init 3 (fun i ->
+         fun ctx ->
+           for k = 0 to i do
+             ignore (Simmem.read mem ctx (a + k));
+             Simmem.write mem ctx (a + 8 + i) k
+           done;
+           Htm.atomic htm ctx (fun tx -> Htm.write tx (a + i) (Htm.read tx a + 1))));
+  Htm.atomic htm boot (fun tx -> Htm.write tx a (Htm.read tx (a + 1)));
+  let absorbed = Obs.Metrics.create () in
+  Obs.Metrics.absorb absorbed (Obs.Metrics.snapshot parent);
+  let render r =
+    let per_thread (_, v) =
+      match v with Obs.Metrics.Counter { per_tid; _ } -> per_tid <> [] | _ -> false
+    in
+    Format.asprintf "%a" Obs.Metrics.print (List.filter per_thread (Obs.Metrics.snapshot r))
+    ^ Obs.Json.to_string (Obs.Metrics.to_json r)
+  in
+  let got =
+    String.concat "\n--\n" (List.map render [ Simmem.metrics mem; Htm.metrics htm; absorbed ])
+  in
+  Alcotest.(check string) "per-thread snapshot" metrics_per_thread_golden got
+
 (* ------------------------------------------------------------------ *)
 (* Tracer                                                              *)
 
@@ -459,6 +521,7 @@ let () =
           Alcotest.test_case "gauge and hist" `Quick test_metrics_gauge_hist;
           Alcotest.test_case "parent chain and reset" `Quick test_metrics_parent_and_reset;
           Alcotest.test_case "snapshot" `Quick test_metrics_snapshot;
+          Alcotest.test_case "per-thread golden" `Quick test_metrics_per_thread_golden;
         ] );
       ( "tracer",
         [

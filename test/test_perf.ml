@@ -73,6 +73,32 @@ let test_zero_alloc_single_thread () =
       "single-thread fig1 cell allocated %.0f minor words for %d accesses (budget %.0f)"
       words accesses budget
 
+(* Machine construction is sized by use, not by capacity: a default heap
+   and its HTM domain start from tables small enough for the minor heap
+   (no per-thread table of [Sim.max_threads + 1] slots, no pre-sized
+   4096-word arrays), so building one — which the explorer does for every
+   schedule — allocates nothing directly in the major heap. Major words
+   come from [Gc.counters] (promotions subtracted), minor words from
+   [Gc.minor_words], the precise counter. *)
+let test_construction_cost () =
+  let build () = Htm.create (Simmem.create ()) in
+  ignore (Sys.opaque_identity (build ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let h = build () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  ignore (Sys.opaque_identity h);
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let minor = minor1 -. minor0 in
+  if direct_major > 0.0 then
+    Alcotest.failf "Simmem.create + Htm.create allocated %.0f words directly in the major heap"
+      direct_major;
+  let budget = 4096.0 in
+  if minor > budget then
+    Alcotest.failf "Simmem.create + Htm.create allocated %.0f minor words (budget %.0f)"
+      minor budget
+
 (* The determinism contract: the same cells produce byte-identical tables
    whatever --jobs is. QCheck varies duration and seed; equality is on
    the rendered table (the exact bytes the artifact embeds). *)
@@ -118,6 +144,7 @@ let () =
             test_zero_alloc_per_access;
           Alcotest.test_case "fig1 x1 cell, strict budget" `Quick
             test_zero_alloc_single_thread;
+          Alcotest.test_case "machine construction" `Quick test_construction_cost;
         ] );
       ( "determinism",
         [

@@ -278,6 +278,122 @@ let prop_allocator_model =
       && st.live_blocks = Hashtbl.length live
       && Hashtbl.fold (fun b _ acc -> acc && Simmem.is_allocated mem b) live true)
 
+(* Property: heap growth is invisible. The same random multi-threaded
+   program runs on a heap that starts small and grows through several
+   doublings, and on one pre-sized so it never grows; every observable —
+   per-op results and faults, per-thread clocks and RNG state, stats,
+   word and line versions, values — must agree, under the sequentially
+   consistent and the store-buffer model, for the shared allocator and
+   a packed arena. Blocks live in a shared table, so threads race on
+   each other's blocks and frees produce real use-after-free faults. *)
+type gop =
+  | G_malloc of int * int (* table slot, words *)
+  | G_free of int
+  | G_read of int * int (* slot, offset *)
+  | G_write of int * int * int
+  | G_cas of int * int * int
+  | G_fence
+  | G_spin
+
+let gop_print = function
+  | G_malloc (s, n) -> Printf.sprintf "malloc[%d] %d" s n
+  | G_free s -> Printf.sprintf "free[%d]" s
+  | G_read (s, o) -> Printf.sprintf "read[%d]+%d" s o
+  | G_write (s, o, v) -> Printf.sprintf "write[%d]+%d=%d" s o v
+  | G_cas (s, o, v) -> Printf.sprintf "cas[%d]+%d->%d" s o v
+  | G_fence -> "fence"
+  | G_spin -> "spin"
+
+let growth_slots = 8
+
+let gop_gen =
+  let open QCheck.Gen in
+  let slot = int_bound (growth_slots - 1) and off = int_bound 5 in
+  frequency
+    [
+      (3, map2 (fun s n -> G_malloc (s, n)) slot (int_range 1 96));
+      (2, map (fun s -> G_free s) slot);
+      (4, map2 (fun s o -> G_read (s, o)) slot off);
+      (4, map3 (fun s o v -> G_write (s, o, v)) slot off (int_bound 9));
+      (2, map3 (fun s o v -> G_cas (s, o, v)) slot off (int_bound 9));
+      (1, return G_fence);
+      (1, return G_spin);
+    ]
+
+let growth_program =
+  QCheck.make
+    ~print:(fun threads ->
+      String.concat " || "
+        (List.map (fun ops -> String.concat "; " (List.map gop_print ops)) threads))
+    QCheck.Gen.(list_repeat 3 (list_size (int_range 5 40) gop_gen))
+
+(* Everything a run exposes, as one comparable value. *)
+let run_growth_program ?initial_words ~model ~alloc threads =
+  let mem = Simmem.create ?initial_words ~model ~alloc () in
+  let boot = Sim.boot () in
+  let table = Array.make growth_slots 0 in
+  table.(0) <- Simmem.malloc mem boot 200;
+  let logs = Array.make 3 [] and clocks = Array.make 3 0 and draws = Array.make 3 0 in
+  let body i ops ctx =
+    let addr s o = table.(s) + o in
+    List.iter
+      (fun op ->
+        let r =
+          try
+            match op with
+            | G_malloc (s, n) ->
+              table.(s) <- Simmem.malloc mem ctx n;
+              table.(s)
+            | G_free s ->
+              Simmem.free mem ctx table.(s);
+              0
+            | G_read (s, o) -> Simmem.read mem ctx (addr s o)
+            | G_write (s, o, v) ->
+              Simmem.write mem ctx (addr s o) v;
+              0
+            | G_cas (s, o, v) ->
+              Bool.to_int (Simmem.cas mem ctx (addr s o) ~expected:(v - 1) ~desired:v)
+            | G_fence ->
+              Sim.fence ctx;
+              Simmem.pending_stores mem ctx
+            | G_spin ->
+              Sim.tick ctx (1 + Sim.Rng.int (Sim.rng ctx) 200);
+              0
+          with Simmem.Fault f -> -1 - Hashtbl.hash (Format.asprintf "%a" Simmem.pp_fault f)
+        in
+        logs.(i) <- r :: logs.(i))
+      ops;
+    clocks.(i) <- Sim.clock ctx;
+    draws.(i) <- Sim.Rng.bits (Sim.rng ctx)
+  in
+  Sim.run ~seed:7 (Array.of_list (List.mapi body threads));
+  let st = Simmem.stats mem in
+  let words = List.init st.heap_extent Fun.id in
+  let lines = List.init ((st.heap_extent lsr 3) + 1) Fun.id in
+  ( (Array.to_list logs, Array.to_list clocks, Array.to_list draws, st),
+    ( List.map (Simmem.version mem) words,
+      List.map (fun a -> if Simmem.is_allocated mem a then Simmem.peek mem a else 0) words,
+      List.map (Simmem.line_version mem) lines,
+      List.map (Simmem.line_writer mem) lines ) )
+
+let prop_growth_invisible =
+  QCheck.Test.make ~name:"growth is invisible (sc/sb x shared/arena)" ~count:60
+    growth_program (fun threads ->
+      List.for_all
+        (fun (model, alloc) ->
+          let small = run_growth_program ~model ~alloc threads in
+          let big = run_growth_program ~initial_words:(1 lsl 16) ~model ~alloc threads in
+          let (_, _, _, st), _ = small in
+          (* The small heap must really have grown for the check to mean
+             anything; the 200-word boot block and arena chunks see to it. *)
+          st.Simmem.heap_extent > 256 && small = big)
+        [
+          (Sim.Memmodel.sc, Simmem.Shared_lifo);
+          (Sim.Memmodel.sb, Simmem.Shared_lifo);
+          (Sim.Memmodel.sc, Simmem.Arena Simmem.Line_packed);
+          (Sim.Memmodel.sb, Simmem.Arena Simmem.Line_packed);
+        ])
+
 let () =
   Alcotest.run "simmem"
     [
@@ -312,5 +428,9 @@ let () =
         ] );
       ("counters", [ Alcotest.test_case "access counters" `Quick test_access_counters ]);
       ("tx plane", [ Alcotest.test_case "read/validate/commit" `Quick test_tx_plane ]);
-      ("property", [ QCheck_alcotest.to_alcotest prop_allocator_model ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_allocator_model;
+          QCheck_alcotest.to_alcotest prop_growth_invisible;
+        ] );
     ]
