@@ -93,11 +93,13 @@ and tctx = {
 and sched = {
   ctxs : tctx array;
   statuses : status array;
-  (* Runnable threads as a multi-word bitset (62 bits per word), kept in
-     lock-step with [statuses]: the pick loop scans set bits instead of
-     matching every status constructor, so a 256-thread schedule with 4
-     runnable threads touches 5 words, not 256 variant tags. *)
-  runnable : int array;
+  (* The runnable set as a flat clock array, one entry per thread: a
+     runnable thread's entry is a copy of its clock, every other entry is
+     [max_int]. Written at the three transitions (start, yield, pick); the
+     copy stays exact because a waiting thread's clock never changes —
+     only the running thread ticks, stalls or charges, and terminal drains
+     charge the finishing thread. A pick is one pass over this array. *)
+  rclock : int array;
   srng : Rng.t;
   mutable live : int;
   (* Cached lower bound on the minimal clock among all other runnable
@@ -108,6 +110,12 @@ and sched = {
      (with multiplicity), i.e. the minimum over the other runnable threads
      once the picked one is excluded. Saves the separate min_other scan. *)
   mutable pick_min2 : int;
+  (* The thread a scheduling point already picked inside the yielding
+     fiber, for the loop to resume without picking again; -1 when the loop
+     must pick (thread start and finish, direct yields). *)
+  mutable next : int;
+  (* Clock at which the running thread's current run slice began. *)
+  mutable slice_start : int;
   wd_budget : int;  (* max_int = no watchdog: one compare per switch, no option match *)
   wd_diag : (unit -> string) option;
   (* Clock of the most recent progress note; the watchdog fires when the
@@ -179,7 +187,6 @@ let emit ctx ev =
   match ctx.ctx_obs with None -> () | Some f -> f ~tid:ctx.ctx_tid ~clock:ctx.clock ev
 
 let yield_count = ref 0
-let yield () = incr yield_count; Effect.perform Yield
 
 (* Fault injection happens at scheduling points only (tick/advance_to,
    never charge): a stall models preemption by jumping the thread's clock
@@ -220,24 +227,9 @@ let fault_point ctx name =
       raise Stop_thread
     end
 
-let tick ctx cost =
-  ctx.clock <- ctx.clock + cost;
-  inject ctx;
-  match ctx.sched with
-  | None -> ()
-  | Some s -> if ctx.clock >= s.min_other then yield ()
-
 let charge ctx cost = ctx.clock <- ctx.clock + cost
 
-(* A full memory fence. Drain hooks run first (oldest registration first)
-   so the fence cost is charged after the buffered stores have paid their
-   own write costs; with no hooks registered (the [sc] model, or a thread
-   that never buffered a store) this is exactly [tick ctx cost]. *)
 let register_drain ctx f = ctx.ctx_drains <- ctx.ctx_drains @ [ f ]
-
-let fence ?(cost = 60) ctx =
-  List.iter (fun f -> f ~terminal:false) ctx.ctx_drains;
-  tick ctx cost
 
 (* Thread teardown: flush what the dying thread already issued. Runs in
    terminal mode — hooks charge rather than tick, because the fiber has no
@@ -246,13 +238,6 @@ let fence ?(cost = 60) ctx =
    the hardware-faithful reading of [Fault.Kill] (the buffered stores were
    executed instructions, only their visibility was pending). *)
 let drain_terminal ctx = List.iter (fun f -> f ~terminal:true) ctx.ctx_drains
-
-let advance_to ctx t =
-  if t > ctx.clock then ctx.clock <- t;
-  inject ctx;
-  match ctx.sched with
-  | None -> ()
-  | Some s -> if ctx.clock >= s.min_other then yield ()
 
 let stop () = raise Stop_thread
 
@@ -310,100 +295,69 @@ let deviations r = List.rev r.rev_devs
 let choices r = List.rev r.rev_choices
 let decision_string r = String.concat ";" (List.rev_map string_of_int r.rev_picks)
 
-(* Runnable-bitset plumbing: 62 bits per word, bit [i mod 62] of word
-   [i / 62]. Kept in lock-step with [statuses] at the three transition
-   sites (initial Not_started, Running in the pick loop, Ready in the
-   Yield handler); Finished threads were Running, so their bit is already
-   clear. *)
-let r_bits = 62
-let r_set s i = s.runnable.(i / r_bits) <- s.runnable.(i / r_bits) lor (1 lsl (i mod r_bits))
-
-let r_clear s i =
-  s.runnable.(i / r_bits) <- s.runnable.(i / r_bits) land lnot (1 lsl (i mod r_bits))
-
-(* Index of the only set bit of [b] (a power of two), via a De Bruijn
-   multiply: branch-free, so the pick scan's per-bit cost is flat instead
-   of mispredict-bound when runnable sets are irregular. The table is
-   indexed by the top 6 bits of [b * debruijn] — distinct for each of the
-   62 possible single-bit inputs (bits 0..61 of an OCaml int). *)
-let db_table =
-  let t = Array.make 64 (-1) in
-  let db = 0x03f79d71b4ca8b09 in
-  for i = 0 to 61 do
-    let slot = ((1 lsl i) * db) lsr 57 land 0x3f in
-    (* The constant is a 64-bit De Bruijn sequence; OCaml ints are 63-bit,
-       so injectivity over bits 0..61 is checked here rather than assumed. *)
-    assert (t.(slot) = -1);
-    t.(slot) <- i
-  done;
-  t
-
-let ntz b = db_table.((b * 0x03f79d71b4ca8b09) lsr 57 land 0x3f)
-
 (* Pick a runnable thread with the minimal clock; break ties with the
-   scheduler RNG so no thread is systematically favoured. One scan over
-   the set bits computes the pick *and* the two smallest runnable clocks
-   (with multiplicity): excluding the picked thread from the minimum
-   leaves exactly the second-smallest, which lands in [s.pick_min2] so
-   the run loop's min_other update needs no second scan. Set bits are
-   visited in ascending index order, so the tie-break RNG draws happen in
-   exactly the order the status-matching scan made them. *)
+   scheduler RNG so no thread is systematically favoured. One pass over
+   [rclock] in ascending tid order computes the pick *and* the two
+   smallest runnable clocks (with multiplicity): excluding the picked
+   thread from the minimum leaves exactly the second-smallest, which
+   lands in [s.pick_min2] so the min_other update needs no second scan.
+   Every tie draws, including ties at a prefix minimum that a later,
+   lower clock then discards: the draw sequence is part of the schedule.
+   An entry above [m2] can change nothing, so the common case is one
+   compare; [max_int] entries (not runnable) never tie. *)
 let pick_min s =
+  let rc = s.rclock in
   let best = ref (-1) and best_clock = ref max_int and ties = ref 0 in
   let m2 = ref max_int in
-  let nw = Array.length s.runnable in
-  for wi = 0 to nw - 1 do
-    let w = ref s.runnable.(wi) in
-    if !w <> 0 then begin
-      let base = wi * r_bits in
-      while !w <> 0 do
-        let b = !w land (- !w) in
-        w := !w lxor b;
-        let i = base + ntz b in
-        let c = s.ctxs.(i).clock in
-        if c < !best_clock then begin
-          m2 := !best_clock;
-          best_clock := c;
-          best := i;
-          ties := 1
+  for i = 0 to Array.length rc - 1 do
+    let c = Array.unsafe_get rc i in
+    if c <= !m2 then
+      if c < !best_clock then begin
+        m2 := !best_clock;
+        best_clock := c;
+        best := i;
+        ties := 1
+      end
+      else begin
+        m2 := c;
+        if c = !best_clock && c <> max_int then begin
+          incr ties;
+          if Rng.int s.srng !ties = 0 then best := i
         end
-        else begin
-          if c < !m2 then m2 := c;
-          if c = !best_clock then begin
-            incr ties;
-            if Rng.int s.srng !ties = 0 then best := i
-          end
-        end
-      done
-    end
+      end
   done;
   s.pick_min2 <- !m2;
   !best
 
-(* Exploring-mode decisions read the runnable bitset. Exploring runs are
-   guarded to [mask_threads] threads, so the set is the single word
-   [s.runnable.(0)], bit [i] for thread [i] — already the recorder's
-   runnable-tid mask. Set bits are walked in ascending tid order, the
-   order the strategies' choices and RNG draws are defined in. *)
-let runnable_mask s = s.runnable.(0)
+(* Exploring-mode decisions read [rclock] in ascending tid order, the
+   order the strategies' choices and RNG draws are defined in. Exploring
+   runs are guarded to [mask_threads] threads, so the runnable set is
+   also the recorder's single-word tid mask. *)
+let is_runnable s i = i >= 0 && i < Array.length s.rclock && s.rclock.(i) <> max_int
+
+let runnable_mask s =
+  let m = ref 0 in
+  for i = 0 to Array.length s.rclock - 1 do
+    if is_runnable s i then m := !m lor (1 lsl i)
+  done;
+  !m
 
 let count_runnable s =
-  let c = ref 0 and w = ref (runnable_mask s) in
-  while !w <> 0 do
-    w := !w land (!w - 1);
-    incr c
+  let c = ref 0 in
+  for i = 0 to Array.length s.rclock - 1 do
+    if is_runnable s i then incr c
   done;
   !c
 
-let is_runnable s i = i >= 0 && i < mask_threads && runnable_mask s land (1 lsl i) <> 0
-
 (* The [k]-th runnable tid in ascending order (0-based), -1 if none. *)
 let nth_runnable s k =
-  let w = ref (runnable_mask s) in
-  for _ = 1 to k do
-    w := !w land (!w - 1)
-  done;
-  if !w = 0 then -1 else ntz (!w land (- !w))
+  let rec go i seen =
+    if i >= Array.length s.rclock then -1
+    else if not (is_runnable s i) then go (i + 1) seen
+    else if seen = k then i
+    else go (i + 1) (seen + 1)
+  in
+  go 0 0
 
 (* One scheduling decision. In exploring mode the min-clock pick (and its
    tie-break RNG draws) is computed at every decision even when another
@@ -424,12 +378,9 @@ let pick s =
          | Some _ | None -> d)
       | S_random rng -> if nr <= 1 then d else nth_runnable s (Rng.int rng nr)
       | S_pct p ->
-        let best = ref (-1) and w = ref (runnable_mask s) in
-        while !w <> 0 do
-          let b = !w land (- !w) in
-          w := !w lxor b;
-          let i = ntz b in
-          if !best < 0 || p.prio.(i) > p.prio.(!best) then best := i
+        let best = ref (-1) in
+        for i = 0 to Array.length s.rclock - 1 do
+          if is_runnable s i && (!best < 0 || p.prio.(i) > p.prio.(!best)) then best := i
         done;
         !best
     in
@@ -460,26 +411,76 @@ let pick s =
     chosen
   end
 
+(* A scheduling point, decided inside the fiber that reached it: the
+   thread marks itself runnable and makes the full decision the run loop
+   would make. When that hands the turn straight back (and the watchdog
+   would not fire), the thread marks itself running again, closes its run
+   slice and keeps going with no effect performed; otherwise it leaves the
+   chosen tid for the loop and yields. Either way this is one scheduling
+   point, counted in [yield_count]. *)
+let decide ctx s =
+  incr yield_count;
+  let me = ctx.ctx_tid in
+  s.rclock.(me) <- ctx.clock;
+  let i = pick s in
+  if i = me && ctx.clock - s.wd_last <= s.wd_budget then begin
+    s.rclock.(me) <- max_int;
+    s.min_other <- (if s.explore then min_int else s.pick_min2);
+    if ctx.clock > s.slice_start then begin
+      emit ctx (Obs.Event.Run { start = s.slice_start });
+      s.slice_start <- ctx.clock
+    end
+  end
+  else begin
+    s.next <- i;
+    Effect.perform Yield
+  end
+
+let tick ctx cost =
+  ctx.clock <- ctx.clock + cost;
+  inject ctx;
+  match ctx.sched with
+  | None -> ()
+  | Some s -> if ctx.clock >= s.min_other then decide ctx s
+
+(* A full memory fence. Drain hooks run first (oldest registration first)
+   so the fence cost is charged after the buffered stores have paid their
+   own write costs; with no hooks registered (the [sc] model, or a thread
+   that never buffered a store) this is exactly [tick ctx cost]. *)
+let fence ?(cost = 60) ctx =
+  List.iter (fun f -> f ~terminal:false) ctx.ctx_drains;
+  tick ctx cost
+
+let advance_to ctx t =
+  if t > ctx.clock then ctx.clock <- t;
+  inject ctx;
+  match ctx.sched with
+  | None -> ()
+  | Some s -> if ctx.clock >= s.min_other then decide ctx s
+
 (* Exit flush as a scheduler-visible step: a thread that buffered stores
    (has drain hooks) yields once between its last instruction and its
    terminal drain. Without this the flush is atomically glued to the last
    instruction, so no other thread could ever observe the window between
    a final load and the buffer drain — litmus SB's (0,0) would be
-   unreachable even under [sb]. Runs inside the fiber (it performs
-   [Yield]); under [sc] no hooks are ever registered and this is a no-op,
-   preserving schedules byte-for-byte. Kill paths skip it on purpose:
-   a crash flushes immediately (see [drain_terminal]). *)
-let exit_flush ctx = if ctx.ctx_drains <> [] then yield ()
+   unreachable even under [sb]. Runs inside the fiber and yields
+   directly, leaving the pick to the loop; under [sc] no hooks are ever
+   registered and this is a no-op, preserving schedules byte-for-byte.
+   Kill paths skip it on purpose: a crash flushes immediately (see
+   [drain_terminal]). *)
+let exit_flush ctx s =
+  if ctx.ctx_drains <> [] then begin
+    incr yield_count;
+    s.rclock.(ctx.ctx_tid) <- ctx.clock;
+    Effect.perform Yield
+  end
 
 let handler s t : (unit, unit) Effect.Deep.handler =
   (* Hoisted out of [effc]: the yield handler and its [Some] wrapper are
      allocated once per thread, not once per [perform]. The scheduler
      switches on every contended memory access, so a per-perform closure
      here is a measurable share of the whole simulation's allocation. *)
-  let on_yield (k : (unit, unit) Effect.Deep.continuation) =
-    s.statuses.(t.ctx_tid) <- Ready k;
-    r_set s t.ctx_tid
-  in
+  let on_yield (k : (unit, unit) Effect.Deep.continuation) = s.statuses.(t.ctx_tid) <- Ready k in
   let some_on_yield = Some on_yield in
   {
     retc =
@@ -576,45 +577,44 @@ let run ?(seed = 0) ?(strategy = Min_clock) ?record ?faults ?watchdog ?diag ?obs
       S_dev tbl
   in
   let explore = exploring in
-  let runnable = Array.make ((n + r_bits - 1) / r_bits) 0 in
   let s =
-    { ctxs; statuses; runnable; srng = Rng.split root; live = n; min_other = 0;
-      pick_min2 = max_int; wd_budget = Option.value watchdog ~default:max_int;
-      wd_diag = diag; wd_last = 0;
+    { ctxs; statuses; rclock = Array.make n 0; srng = Rng.split root; live = n;
+      min_other = 0; pick_min2 = max_int; next = -1; slice_start = 0;
+      wd_budget = Option.value watchdog ~default:max_int; wd_diag = diag; wd_last = 0;
       strat; explore; recd = record; choice_idx = 0 }
   in
-  for i = 0 to n - 1 do
-    r_set s i
-  done;
   Array.iter (fun c -> c.sched <- Some s) ctxs;
   let rec loop () =
     if s.live > 0 then begin
-      let i = pick s in
+      let i = if s.next >= 0 then s.next else pick s in
+      s.next <- -1;
       assert (i >= 0);
       let t = ctxs.(i) in
+      (* The copied-clock invariant: a layer that charges a waiting thread
+         would make every later pick read a stale clock. *)
+      assert (s.rclock.(i) = t.clock);
       if t.clock - s.wd_last > s.wd_budget then begin
         Array.iter (fun c -> c.sched <- None) ctxs;
         raise (Watchdog (diagnose s t.clock))
       end;
       s.min_other <- (if s.explore then min_int else s.pick_min2);
-      let slice_start = t.clock in
+      s.slice_start <- t.clock;
+      s.rclock.(i) <- max_int;
       (match statuses.(i) with
        | Not_started f ->
          statuses.(i) <- Running;
-         r_clear s i;
          Effect.Deep.match_with
            (fun () ->
              f t;
-             exit_flush t)
+             exit_flush t s)
            () (handler s t)
        | Ready k ->
          statuses.(i) <- Running;
-         r_clear s i;
          Effect.Deep.continue k ()
        | Running | Finished -> assert false);
       (match t.ctx_obs with
-       | Some f when t.clock > slice_start ->
-         f ~tid:i ~clock:t.clock (Obs.Event.Run { start = slice_start })
+       | Some f when t.clock > s.slice_start ->
+         f ~tid:i ~clock:t.clock (Obs.Event.Run { start = s.slice_start })
        | _ -> ());
       loop ()
     end

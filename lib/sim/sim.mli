@@ -317,8 +317,11 @@ module Backoff : sig
 end
 
 val yield_count : int ref
-(** Cumulative count of scheduler yields (context switches) performed by
-    every run in this domain. Pure wall-side diagnostic for performance
-    work: zero it, run a cell, read it back to see how many effect
-    switches the schedule mandated (docs/PERFORMANCE.md quotes it).
-    Untouched by virtual time and never read by the simulator itself. *)
+(** Cumulative count of scheduling points reached by every run in this
+    domain: each {!tick} or {!advance_to} that made a scheduling decision,
+    including decisions that handed the turn straight back to the
+    running thread without a fiber switch, plus the yield of a thread's
+    exit flush. Pure wall-side diagnostic for performance work: zero it,
+    run a cell, read it back to see how many decisions the schedule
+    mandated (docs/PERFORMANCE.md quotes it). Untouched by virtual time
+    and never read by the simulator itself. *)

@@ -325,7 +325,10 @@ let growth_program =
     ~print:(fun threads ->
       String.concat " || "
         (List.map (fun ops -> String.concat "; " (List.map gop_print ops)) threads))
-    QCheck.Gen.(list_repeat 3 (list_size (int_range 5 40) gop_gen))
+    QCheck.Gen.(
+      map
+        (function t0 :: rest -> (G_malloc (1, 96) :: t0) :: rest | [] -> [])
+        (list_repeat 3 (list_size (int_range 5 40) gop_gen)))
 
 (* Everything a run exposes, as one comparable value. *)
 let run_growth_program ?initial_words ~model ~alloc threads =
@@ -385,7 +388,8 @@ let prop_growth_invisible =
           let big = run_growth_program ~initial_words:(1 lsl 16) ~model ~alloc threads in
           let (_, _, _, st), _ = small in
           (* The small heap must really have grown for the check to mean
-             anything; the 200-word boot block and arena chunks see to it. *)
+             anything: the 200-word boot block plus the 96-word malloc
+             every program starts thread 0 with see to it. *)
           st.Simmem.heap_extent > 256 && small = big)
         [
           (Sim.Memmodel.sc, Simmem.Shared_lifo);
