@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§5) on the simulated machine, plus the space measurements
-   behind the §1 claims, the §6 ablations, and a Bechamel microbenchmark
-   suite measuring the simulator's own wall-clock costs.
+   behind the §1 claims and the §6 ablations; `bench perf` gates the
+   simulator's own wall-clock speed (its unit costs are perfbench's
+   probes).
 
      dune exec bench/main.exe                  # everything, quick settings
      dune exec bench/main.exe -- fig4          # one figure
@@ -192,11 +193,9 @@ let smoke_duration (e : Experiments.t) =
 let run_all ~jobs ~seed ~csv ~smoke ~json ~times =
   List.iter
     (fun (e : Experiments.t) ->
-      if e.in_all then begin
-        let duration = if smoke then smoke_duration e else e.default_duration in
-        run_experiment e ~jobs ~duration ~seed ~csv ~json ~trace:None ~metrics:None
-          ~forensics:false ~times
-      end)
+      let duration = if smoke then smoke_duration e else e.default_duration in
+      run_experiment e ~jobs ~duration ~seed ~csv ~json ~trace:None ~metrics:None
+        ~forensics:false ~times)
     Experiments.all
 
 (* ------------------------------------------------------------------ *)
@@ -343,20 +342,32 @@ let read_json_file file =
 
 let perf_reference_duration = 50_000
 
+(* Each cell with its simulated window in virtual cycles. The chaos cell
+   runs two machines to a fixed deadline with every operation logged for
+   the §2.3 checker; it gates the checker's cost (StaticBaseline's check
+   was the slowest), so it has no per-cycle figure. *)
 let perf_cells ~seed =
   let duration = perf_reference_duration in
+  let window = Some (Workload.Driver.warmup + duration) in
   List.map
     (fun (mk : Hqueue.Intf.maker) ->
-      Runner.Cell.v ~label:(Printf.sprintf "fig1/%s/x16" mk.queue_name) (fun () ->
-          ignore
-            (Workload.Queue_bench.run_one mk ~threads:16 ~duration ~prefill:64 ~seed)))
+      ( Runner.Cell.v ~label:(Printf.sprintf "fig1/%s/x16" mk.queue_name) (fun () ->
+            ignore
+              (Workload.Queue_bench.run_one mk ~threads:16 ~duration ~prefill:64 ~seed)),
+        window ))
     Hqueue.all
   @ [
-      Runner.Cell.v ~label:"scale/queue/HTM/x256" (fun () ->
-          ignore
-            (Workload.Scale_bench.queue_one
-               (Option.get (Hqueue.find_maker "HTM"))
-               ~threads:256 ~duration ~seed));
+      ( Runner.Cell.v ~label:"scale/queue/HTM/x256" (fun () ->
+            ignore
+              (Workload.Scale_bench.queue_one
+                 (Option.get (Hqueue.find_maker "HTM"))
+                 ~threads:256 ~duration ~seed)),
+        window );
+      ( Runner.Cell.v ~label:"chaos/crash/StaticBaseline" (fun () ->
+            ignore
+              (Workload.Chaos_bench.collect_crash_one ~seed
+                 (Option.get (Collect.find_maker "StaticBaseline")))),
+        None );
     ]
 
 (* Virtual operations: every simulated memory access the cell performed. *)
@@ -384,13 +395,11 @@ let perf_measure cell =
   in
   { (List.hd runs) with oc_wall_us = List.nth walls (perf_timed_runs / 2) }
 
-let perf_rows outcomes =
-  let cycles = Workload.Driver.warmup + perf_reference_duration in
-  List.map
-    (fun (o : unit Runner.Sweep.outcome) ->
-      let vops = perf_vops o.oc_snapshot in
-      (o.oc_label, vops, o.oc_wall_us, cycles))
-    outcomes
+let perf_rows cells outcomes =
+  List.map2
+    (fun (_, window) (o : unit Runner.Sweep.outcome) ->
+      (o.oc_label, perf_vops o.oc_snapshot, o.oc_wall_us, window))
+    cells outcomes
 
 let perf_floor_json rows =
   Obs.Json.Obj
@@ -472,24 +481,27 @@ let perf_cmd =
           ~doc:"Write this run's wall times to $(docv) as the new reference.")
   in
   let action seed check update =
-    let outcomes = List.map perf_measure (perf_cells ~seed) in
+    let cells = perf_cells ~seed in
+    let outcomes = List.map (fun (cell, _) -> perf_measure cell) cells in
     (match Runner.Sweep.errors outcomes with
     | [] -> ()
     | (label, e) :: _ ->
         pf "perf: cell %s raised %s@." label (Printexc.to_string e);
         exit 2);
-    let rows = perf_rows outcomes in
+    let rows = perf_rows cells outcomes in
     pf "== Simulator speed (virtual ops = simulated memory accesses) ==@.";
     Obs.Table.print_cols Format.std_formatter
       [ "machine"; "virtual ops"; "wall ms"; "virtual Mops/s"; "wall ns/vcycle" ]
       (List.map
-         (fun (label, vops, wall_us, cycles) ->
+         (fun (label, vops, wall_us, window) ->
            [
              label;
              string_of_int vops;
              Printf.sprintf "%.2f" (wall_us /. 1000.0);
              Printf.sprintf "%.1f" (float_of_int vops /. wall_us);
-             Printf.sprintf "%.1f" (wall_us *. 1000.0 /. float_of_int cycles);
+             (match window with
+             | Some cycles -> Printf.sprintf "%.1f" (wall_us *. 1000.0 /. float_of_int cycles)
+             | None -> "-");
            ])
          rows);
     (match update with

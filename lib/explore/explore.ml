@@ -6,12 +6,13 @@
       the FIFO queues;
     - {!Trace}: pretty-printed interleaving capture, a subscriber of the
       observation stream;
-    - {!Mutant}: the deliberately broken ROP queues used to validate that
-      the explorer actually finds bugs;
     - {!Litmus}: memory-model litmus programs (SB/MP/LB/CoRR) with an
       exhaustive schedule enumerator;
     - {!Scenario}: programs + oracles packaged as pure functions of
-      (strategy, seed, fault plan);
+      (strategy, seed, fault plan), including the seeded-bug queues that
+      validate that the explorer actually finds bugs — the mutation
+      points of [Hqueue.Ms_rop_queue.mk_maker] and
+      [Hqueue.Ms_epoch_queue.mk_maker];
     - {!Shrink}: ddmin over deviation lists;
     - {!Artifact}: self-contained, replayable failure files;
     - {!Search}: the driver enumerating schedules and packaging
@@ -22,7 +23,6 @@
 
 module Lin = Lin
 module Trace = Trace
-module Mutant = Mutant
 module Litmus = Litmus
 module Scenario = Scenario
 module Shrink = Shrink

@@ -227,11 +227,21 @@ let stm_forced = { Htm.default_config with stm = Htm.Stm_after 0 }
 let build ~key ?model ~threads ~ops () =
   match key with
   | "racy" -> Ok (racy_counter ?model ~threads ~ops ())
-  | "broken-rop" -> Ok (queue_lin ~key:"broken-rop" ?model Mutant.maker ~threads ~ops)
+  | "broken-rop" ->
+    (* The reclamation-wait-dropping mutant: a dequeued node is freed at
+       once, so a preempted reader can still hold it. *)
+    Ok
+      (queue_lin ~key:"broken-rop" ?model
+         (Hqueue.Ms_rop_queue.mk_maker ~eager_free:true "BrokenROP")
+         ~threads ~ops)
   | "ms-nofence" ->
     (* The StoreLoad-fence-dropping mutant: correct under [sc], unsafe
-       under a buffered model — the memory-ordering hunting target. *)
-    Ok (queue_lin ~key:"ms-nofence" ?model Mutant.nofence_maker ~threads ~ops)
+       under a buffered model — the memory-ordering hunting target. A scan
+       on every retire makes the free reachable in small scenarios. *)
+    Ok
+      (queue_lin ~key:"ms-nofence" ?model
+         (Hqueue.Ms_rop_queue.mk_maker ~fenced:false ~scan_threshold:1 "NoFenceROP")
+         ~threads ~ops)
   | "broken-epoch" ->
     (* The premature-free EBR mutant: one grace period instead of two, so
        a bucket is freed while a reader that announced the previous epoch

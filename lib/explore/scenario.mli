@@ -76,9 +76,11 @@ val build :
   unit ->
   (t, string) result
 (** Resolve a registry key: ["queue:NAME"], ["collect:NAME"], ["racy"],
-    ["broken-rop"] (the {!Mutant} queue), ["ms-nofence"] (the
-    StoreLoad-fence-dropping mutant — correct under [sc], unsafe under a
-    buffered [model]), ["htm-memorder"] (the HTM queue, for checking
+    ["broken-rop"] (the reclamation-wait-dropping mutant,
+    [Hqueue.Ms_rop_queue.mk_maker ~eager_free:true]), ["ms-nofence"]
+    (the StoreLoad-fence-dropping mutant,
+    [Hqueue.Ms_rop_queue.mk_maker ~fenced:false ~scan_threshold:1] —
+    correct under [sc], unsafe under a buffered [model]), ["htm-memorder"] (the HTM queue, for checking
     strong atomicity under every variant), or the STM-forced variants
     ["stm-queue"] / ["stm-collect"], which run the HTM queue and
     ListFastCollect entirely on the {!Stm} software path ([Stm_after 0]).

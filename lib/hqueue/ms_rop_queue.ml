@@ -30,6 +30,8 @@ type t = {
   hdr : int;
   hz : int; (* announcement array: hazards_per_thread words per slot *)
   num_threads : int;
+  fenced : bool; (* false: the announcement fence dropped (NoFenceROP) *)
+  eager_free : bool; (* true: free on dequeue, no retirement (BrokenROP) *)
   (* per-thread retired-but-not-yet-free nodes, as stacks in flat arrays
      (index 0 oldest) *)
   retired : int array array;
@@ -59,20 +61,20 @@ let hazard_addr t ctx i = t.hz + (hazards_per_thread * slot_index t ctx) + i
    overhead the paper measures for ROP-style reclamation. [Sim.fence]
    drains the thread's store buffer under a weak memory model — without
    it, the announcement can sit invisible in the buffer while a reclaimer
-   scans, misses it, and frees the node (the `ms-nofence` mutant in
-   lib/explore demonstrates exactly that). Under [sc] it is a pure
-   [fence_cost] tick, as before. *)
+   scans, misses it, and frees the node ([mk_maker ~fenced:false], the
+   explorer's `ms-nofence` scenario, demonstrates exactly that). Under
+   [sc] it is a pure [fence_cost] tick, as before. *)
 let fence_cost = 60
 
 let announce t ctx i node =
   Simmem.write (Htm.mem t.htm) ctx (hazard_addr t ctx i) node;
-  Sim.fence ~cost:fence_cost ctx
+  if t.fenced then Sim.fence ~cost:fence_cost ctx
 
 let clear_announcements t ctx =
   announce t ctx 0 0;
   announce t ctx 1 0
 
-let create htm ctx ~num_threads =
+let create htm ctx ~num_threads ~fenced ~eager_free ~scan_threshold =
   let mem = Htm.mem htm in
   let hdr = Simmem.malloc mem ctx hdr_words in
   let hz = Simmem.malloc mem ctx (hazards_per_thread * (num_threads + 1)) in
@@ -88,9 +90,13 @@ let create htm ctx ~num_threads =
     hdr;
     hz;
     num_threads;
+    fenced;
+    eager_free;
     retired = Array.make (Simmem.thread_slots mem) [||];
     retired_count = Array.make (Simmem.thread_slots mem) 0;
-    scan_threshold = (2 * hazards_per_thread * (num_threads + 1)) + 2;
+    scan_threshold =
+      Option.value scan_threshold
+        ~default:((2 * hazards_per_thread * (num_threads + 1)) + 2);
     announced = Array.make (Simmem.thread_slots mem) [||];
     deq_val = Array.make (Simmem.thread_slots mem) 0;
   }
@@ -212,7 +218,7 @@ let rec deq_loop t mem ctx bound =
       let v = Simmem.read mem ctx (next + off_val) in
       if Simmem.cas mem ctx (t.hdr + hdr_head) ~expected:head ~desired:next then begin
         t.deq_val.(tslot t ctx) <- v;
-        retire t ctx head;
+        if t.eager_free then Simmem.free mem ctx head else retire t ctx head;
         true
       end
       else deq_loop t mem ctx (backoff_once ctx bound)
@@ -248,18 +254,21 @@ let destroy t ctx =
   Simmem.free mem ctx t.hz;
   Simmem.free mem ctx t.hdr
 
-let maker : Queue_intf.maker =
+let mk_maker ?(fenced = true) ?(eager_free = false) ?scan_threshold name :
+    Queue_intf.maker =
   {
-    queue_name = "MichaelScott+ROP";
+    queue_name = name;
     reclaims = true;
     make =
       (fun htm ctx ~num_threads ->
-        let t = create htm ctx ~num_threads in
+        let t = create htm ctx ~num_threads ~fenced ~eager_free ~scan_threshold in
         {
-          Queue_intf.name = "MichaelScott+ROP";
+          Queue_intf.name;
           enqueue = enqueue t;
           dequeue = dequeue t;
           dequeue_drop = dequeue_drop t;
           destroy = destroy t;
         });
   }
+
+let maker = mk_maker "MichaelScott+ROP"

@@ -21,21 +21,27 @@
 
    Handles may be returned multiple times (the spec allows duplicates). *)
 
-type bind = { b_start : int; b_end : int; value : int }
+(* A bind carries the completion time of the *next* event (bind or
+   deregistration) on its handle: [update] and [deregister] set it on the
+   handle's newest bind when they complete, and it stays [max_int] when
+   they crash or never happen. The log is thereby its own index. *)
+type bind = { b_start : int; b_end : int; value : int; mutable next_end : int }
 
 type instance_log = {
   id : int;
-  mutable binds : bind list; (* newest first *)
-  mutable dereg : (int * int) option;
+  reg : bind;
+  mutable newest : bind;
+  mutable dereg_start : int; (* max_int while never deregistered *)
+  mutable seen : int; (* index of the last checked collect returning it *)
 }
 
 type collect_log = { c_start : int; c_end : int; returned : int list }
 
 type t = {
   mutable next_value : int;
-  values : (int, instance_log) Hashtbl.t; (* value -> its registration *)
+  values : (int, instance_log * bind) Hashtbl.t; (* value -> its bind *)
   current : (int, instance_log) Hashtbl.t; (* live handle address -> registration *)
-  mutable instances : instance_log list;
+  mutable instances : instance_log list; (* newest first *)
   mutable collects : collect_log list;
   mutable next_id : int;
   mutable now : int; (* logical clock: one tick per wrapper event *)
@@ -67,39 +73,42 @@ let stamp t =
    exactly the §2.3 reading of an operation that overlaps everything after
    it. The exception is re-raised so the thread still dies. *)
 
+let bind s e v = { b_start = s; b_end = e; value = v; next_end = max_int }
+
+let log_registration t b =
+  let il = { id = t.next_id; reg = b; newest = b; dereg_start = max_int; seen = -1 } in
+  t.next_id <- t.next_id + 1;
+  t.instances <- il :: t.instances;
+  Hashtbl.replace t.values b.value (il, b);
+  il
+
 let register t (inst : Collect.Intf.instance) ctx =
   let v = fresh_value t in
   let s = stamp t in
   match inst.register ctx v with
   | h ->
     let e = stamp t in
-    let il = { id = t.next_id; binds = [ { b_start = s; b_end = e; value = v } ]; dereg = None } in
-    t.next_id <- t.next_id + 1;
-    t.instances <- il :: t.instances;
-    Hashtbl.replace t.values v il;
-    Hashtbl.replace t.current h il;
+    Hashtbl.replace t.current h (log_registration t (bind s e v));
     h
   | exception ex ->
     (* No handle was returned, so the registration can never become
        "required" — but its value may already be visible to collects. *)
-    let il = { id = t.next_id; binds = [ { b_start = s; b_end = max_int; value = v } ]; dereg = None } in
-    t.next_id <- t.next_id + 1;
-    t.instances <- il :: t.instances;
-    Hashtbl.replace t.values v il;
+    let (_ : instance_log) = log_registration t (bind s max_int v) in
     raise ex
+
+let log_bind t il b =
+  il.newest.next_end <- b.b_end;
+  il.newest <- b;
+  Hashtbl.replace t.values b.value (il, b)
 
 let update t (inst : Collect.Intf.instance) ctx h =
   let il = Hashtbl.find t.current h in
   let v = fresh_value t in
   let s = stamp t in
   match inst.update ctx h v with
-  | () ->
-    let e = stamp t in
-    il.binds <- { b_start = s; b_end = e; value = v } :: il.binds;
-    Hashtbl.replace t.values v il
+  | () -> log_bind t il (bind s (stamp t) v)
   | exception ex ->
-    il.binds <- { b_start = s; b_end = max_int; value = v } :: il.binds;
-    Hashtbl.replace t.values v il;
+    log_bind t il (bind s max_int v);
     raise ex
 
 let deregister t (inst : Collect.Intf.instance) ctx h =
@@ -108,10 +117,10 @@ let deregister t (inst : Collect.Intf.instance) ctx h =
   let s = stamp t in
   match inst.deregister ctx h with
   | () ->
-    let e = stamp t in
-    il.dereg <- Some (s, e)
+    il.newest.next_end <- stamp t;
+    il.dereg_start <- s
   | exception ex ->
-    il.dereg <- Some (s, max_int);
+    il.dereg_start <- s;
     raise ex
 
 let collect t (inst : Collect.Intf.instance) ctx =
@@ -126,74 +135,41 @@ let collect t (inst : Collect.Intf.instance) ctx =
        result set rather than checking half an answer. *)
     raise ex
 
-(* For each value: the completion time of the *next* event (bind or
-   deregister) on the same handle, or max_int if none. *)
-let next_event_end il =
-  let tbl = Hashtbl.create 8 in
-  let dereg_end = match il.dereg with Some (_, e) -> e | None -> max_int in
-  let rec go newer = function
-    | [] -> ()
-    | b :: older ->
-      Hashtbl.replace tbl b.value newer;
-      go b.b_end older
-  in
-  (* binds are newest-first: the event after the newest bind is the dereg *)
-  go dereg_end il.binds;
-  tbl
-
 type verdict = { checked_collects : int; checked_values : int }
 
 exception Violation of string
 
 let check t =
-  let next_end = Hashtbl.create 64 in
-  List.iter
-    (fun il ->
-      let tbl = next_event_end il in
-      Hashtbl.iter (fun v e -> Hashtbl.replace next_end v e) tbl)
-    t.instances;
   let nvalues = ref 0 in
   let collects = List.rev t.collects in
-  List.iter
-    (fun c ->
+  List.iteri
+    (fun ci c ->
       (* validity *)
       List.iter
         (fun v ->
           incr nvalues;
           match Hashtbl.find_opt t.values v with
           | None -> raise (Violation (Printf.sprintf "collect returned unknown value %d" v))
-          | Some il ->
-            let b = List.find (fun b -> b.value = v) il.binds in
+          | Some (il, b) ->
             if b.b_start > c.c_end then
               raise
                 (Violation
                    (Printf.sprintf
                       "value %d bound at [%d,%d], after collect [%d,%d] ended" v b.b_start
                       b.b_end c.c_start c.c_end));
-            let ne = Hashtbl.find next_end v in
-            if ne < c.c_start then
+            if b.next_end < c.c_start then
               raise
                 (Violation
                    (Printf.sprintf
-                      "value %d superseded at %d, before collect [%d,%d] began" v ne
-                      c.c_start c.c_end)))
+                      "value %d superseded at %d, before collect [%d,%d] began" v b.next_end
+                      c.c_start c.c_end));
+            il.seen <- ci)
         c.returned;
       (* completeness *)
-      let present = Hashtbl.create 64 in
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt t.values v with
-          | Some il -> Hashtbl.replace present il.id ()
-          | None -> ())
-        c.returned;
       List.iter
         (fun il ->
-          let reg = List.nth il.binds (List.length il.binds - 1) in
-          let required =
-            reg.b_end < c.c_start
-            && (match il.dereg with None -> true | Some (ds, _) -> ds > c.c_end)
-          in
-          if required && not (Hashtbl.mem present il.id) then
+          let reg = il.reg in
+          if reg.b_end < c.c_start && il.dereg_start > c.c_end && il.seen <> ci then
             raise
               (Violation
                  (Printf.sprintf

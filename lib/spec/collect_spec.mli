@@ -57,4 +57,6 @@ exception Violation of string
     specification violation found. *)
 
 val check : t -> verdict
-(** Verify every logged collect. @raise Violation on the first failure. *)
+(** Verify every logged collect, in O(values returned + collects ×
+    registrations): the log indexes each value's bind as it is written.
+    @raise Violation on the first failure. *)

@@ -38,20 +38,21 @@ type crash_result = {
    counter-based schemes. *)
 let cr_crash_pinned c = c.cr_pinned_faulty - c.cr_pinned_control
 
-(* 2 collectors + [churners] updaters; churners register one handle each
-   and update it continuously; every operation goes through the §2.3 spec
-   checker. Returns (ops, verdict, live_at_quiesce, pinned_after_destroy).
-   Raises [Collect_spec.Violation] if any collect was incorrect and
-   [Sim.Watchdog] if the machine ever stopped committing progress. *)
-let collect_workload (maker : Collect.Intf.maker) ~seed ~faults =
-  let m = Driver.machine ~seed ~label:("chaos/" ^ maker.algo_name) () in
+(* The checked-collect harness shared by the collect scenarios: 2
+   collectors + 6 churners on [m] until [deadline]. Each churner
+   registers one handle and updates it continuously; every operation goes
+   through the §2.3 spec checker. Returns the operations completed by the
+   survivors, the checker's log and the instance, for the scenario's own
+   post-processing. Raises [Sim.Watchdog] (after printing [diag]) if the
+   machine ever stopped committing progress. *)
+let checked_collect ?diag ?faults (m : Driver.machine) (maker : Collect.Intf.maker) ~seed =
   let churners = 6 in
   let threads = churners + 2 in
   let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
   let inst = maker.make m.htm m.boot cfg in
   let spec = Collect_spec.create () in
   let ops = ref 0 in
-  let churner _i ctx =
+  let churner ctx =
     let h = Collect_spec.register spec inst ctx in
     Sim.note_progress ctx;
     while Sim.clock ctx < deadline do
@@ -71,17 +72,23 @@ let collect_workload (maker : Collect.Intf.maker) ~seed ~faults =
       incr ops
     done
   in
-  let bodies =
-    Array.init threads (fun i -> if i < 2 then collector else churner (i - 2))
+  let bodies = Array.init threads (fun i -> if i < 2 then collector else churner) in
+  Sim.run ~seed ?faults ~watchdog:watchdog_budget ?diag bodies;
+  (!ops, spec, inst)
+
+(* Scenario A on one machine: returns (ops, verdict, live_at_quiesce,
+   pinned_after_destroy). Raises [Collect_spec.Violation] if any collect
+   was incorrect. *)
+let collect_workload (maker : Collect.Intf.maker) ~seed ?faults () =
+  let m = Driver.machine ~seed ~label:("chaos/" ^ maker.algo_name) () in
+  let ops, spec, inst =
+    checked_collect m maker ~seed ?faults ~diag:(fun () ->
+        let st = Htm.stats m.htm in
+        Printf.sprintf
+          "  htm: %d commits, %d fallbacks, aborts c/o/i/e/l/s = %d/%d/%d/%d/%d/%d\n"
+          st.commits st.lock_fallbacks st.aborts_conflict st.aborts_overflow
+          st.aborts_illegal st.aborts_explicit st.aborts_lock st.aborts_spurious)
   in
-  Sim.run ~seed ?faults ~watchdog:watchdog_budget
-    ~diag:(fun () ->
-      let st = Htm.stats m.htm in
-      Printf.sprintf
-        "  htm: %d commits, %d fallbacks, aborts c/o/i/e/l/s = %d/%d/%d/%d/%d/%d\n"
-        st.commits st.lock_fallbacks st.aborts_conflict st.aborts_overflow
-        st.aborts_illegal st.aborts_explicit st.aborts_lock st.aborts_spurious)
-    bodies;
   (* Quiescent: survivors deregistered; only crashed threads' handles are
      still registered. One last checked collect from the boot context must
      see exactly those. *)
@@ -90,7 +97,7 @@ let collect_workload (maker : Collect.Intf.maker) ~seed ~faults =
   let live = (Simmem.stats m.mem).live_words in
   inst.destroy m.boot;
   let pinned = (Simmem.stats m.mem).live_words in
-  (!ops, verdict, live, pinned)
+  (ops, verdict, live, pinned)
 
 (* Deterministic kill schedule: two churners and one collector die
    mid-measurement, at fixed virtual times — mid-operation with whatever
@@ -106,8 +113,8 @@ let crash_spec =
 
 let collect_crash_one ?(seed = 7) (maker : Collect.Intf.maker) =
   let faults = Sim.Fault.make crash_spec in
-  let ops, verdict, live_faulty, pinned = collect_workload maker ~seed ~faults:(Some faults) in
-  let _, _, live_control, pinned_control = collect_workload maker ~seed ~faults:None in
+  let ops, verdict, live_faulty, pinned = collect_workload maker ~seed ~faults () in
+  let _, _, live_control, pinned_control = collect_workload maker ~seed () in
   {
     cr_algo = maker.algo_name;
     cr_kills = Sim.Fault.kills faults;
@@ -228,12 +235,6 @@ let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
       ~htm_config:{ Htm.default_config with tle = Htm.Tle_after 6 }
       ~seed ~label:("spurious/" ^ maker.algo_name) ()
   in
-  let churners = 6 in
-  let threads = churners + 2 in
-  let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
-  let inst = maker.make m.htm m.boot cfg in
-  let spec = Collect_spec.create () in
-  let ops = ref 0 in
   let faults =
     Sim.Fault.make
       {
@@ -244,28 +245,7 @@ let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
         spurious_abort_rate = rate;
       }
   in
-  let churner ctx =
-    let h = Collect_spec.register spec inst ctx in
-    Sim.note_progress ctx;
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.update spec inst ctx h;
-      Sim.note_progress ctx;
-      incr ops
-    done;
-    Collect_spec.deregister spec inst ctx h;
-    Sim.note_progress ctx
-  in
-  let collector ctx =
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.collect spec inst ctx;
-      Sim.note_progress ctx;
-      incr ops
-    done
-  in
-  let bodies = Array.init threads (fun i -> if i < 2 then collector else churner) in
-  Sim.run ~seed ~faults ~watchdog:watchdog_budget bodies;
+  let ops, spec, inst = checked_collect m maker ~seed ~faults in
   let verdict = Collect_spec.check spec in
   inst.destroy m.boot;
   let st = Htm.stats m.htm in
@@ -274,7 +254,7 @@ let spurious_one ?(seed = 7) ?(rate = 0.15) (maker : Collect.Intf.maker) =
   in
   {
     sp_algo = maker.algo_name;
-    sp_ops = !ops;
+    sp_ops = ops;
     sp_spurious = st.aborts_spurious;
     sp_fallbacks = st.lock_fallbacks;
     sp_max_consec = st.max_consecutive_aborts;
@@ -305,12 +285,6 @@ let stm_crash_one ?(seed = 7) () =
       ~htm_config:{ Htm.default_config with stm = Htm.Stm_after 0 }
       ~seed ~label:"chaos/stm-crash" ()
   in
-  let churners = 6 in
-  let threads = churners + 2 in
-  let cfg = { Collect.Intf.default_cfg with num_threads = threads; max_slots = 8 * threads } in
-  let inst = maker.make m.htm m.boot cfg in
-  let spec = Collect_spec.create () in
-  let ops = ref 0 in
   let faults =
     Sim.Fault.make
       {
@@ -320,38 +294,17 @@ let stm_crash_one ?(seed = 7) () =
           [ (3, "stm.commit", 1_200_000); (5, "stm.commit", 1_600_000) ];
       }
   in
-  let churner ctx =
-    let h = Collect_spec.register spec inst ctx in
-    Sim.note_progress ctx;
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.update spec inst ctx h;
-      Sim.note_progress ctx;
-      incr ops
-    done;
-    Collect_spec.deregister spec inst ctx h;
-    Sim.note_progress ctx
+  let ops, spec, inst =
+    checked_collect m maker ~seed ~faults ~diag:(fun () ->
+        let st = Htm.stats m.htm in
+        Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
   in
-  let collector ctx =
-    while Sim.clock ctx < deadline do
-      Driver.tick_dispatch ctx;
-      Collect_spec.collect spec inst ctx;
-      Sim.note_progress ctx;
-      incr ops
-    done
-  in
-  let bodies = Array.init threads (fun i -> if i < 2 then collector else churner) in
-  Sim.run ~seed ~faults ~watchdog:watchdog_budget
-    ~diag:(fun () ->
-      let st = Htm.stats m.htm in
-      Printf.sprintf "  stm: %d commits, %d steals\n" st.stm_commits st.stm_steals)
-    bodies;
   Collect_spec.collect spec inst m.boot;
   let verdict = Collect_spec.check spec in
   let st = Htm.stats m.htm in
   {
     st_kills = Sim.Fault.kills faults;
-    st_ops = !ops;
+    st_ops = ops;
     st_steals = st.stm_steals;
     st_checked_collects = verdict.Collect_spec.checked_collects;
     st_stm_commits = st.stm_commits;

@@ -1,7 +1,8 @@
 (** The survivability experiment the paper argued for but never ran
     (§1, §7): deterministic fault injection against every algorithm.
 
-    Three scenarios, all seed-reproducible ({!Sim.Fault} plans):
+    Four scenarios, all seed-reproducible ({!Sim.Fault} plans); the three
+    collect scenarios share one checked-collect harness:
 
     - {b collect crashes}: 3 of 8 threads are killed mid-operation at
       fixed virtual times while every operation runs through the §2.3

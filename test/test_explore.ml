@@ -92,14 +92,14 @@ let check_found_shrunk_replays ~budget scn =
 
 let test_racy_found () = check_found_shrunk_replays ~budget:60 racy
 
-let test_broken_rop_found () =
-  check_found_shrunk_replays ~budget:200
-    (E.Scenario.queue_lin ~key:"broken-rop" E.Mutant.maker ~threads:3 ~ops:5)
+let broken_rop () = Result.get_ok (E.Scenario.build ~key:"broken-rop" ~threads:3 ~ops:5 ())
+
+let test_broken_rop_found () = check_found_shrunk_replays ~budget:200 (broken_rop ())
 
 (* The mutant's bug is schedule-dependent: the plain min-clock schedule
    must pass, or the queue tests themselves would have caught it. *)
 let test_broken_rop_passes_min_clock () =
-  let scn = E.Scenario.queue_lin ~key:"broken-rop" E.Mutant.maker ~threads:3 ~ops:5 in
+  let scn = broken_rop () in
   match scn.scn_run ~strategy:Sim.Min_clock ~seed:1 ~faults:None ~record:None ~trace:None with
   | E.Scenario.Pass -> ()
   | E.Scenario.Fail msg -> Alcotest.failf "failed under min-clock: %s" msg
