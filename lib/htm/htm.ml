@@ -246,7 +246,7 @@ let commit_cycles_histogram t = Obs.Metrics.buckets t.h_commit
 
 let attempt_number tx = tx.attempt
 let in_fallback tx = match tx.mode with Locked -> true | Hw | Sw _ -> false
-let tx_tid tx = Sim.tid tx.ctx
+let tx_tid tx = tx.ctx.Sim.ctx_tid
 
 let reset_tx tx mode attempt =
   tx.mode <- mode;
@@ -282,7 +282,7 @@ let fresh_tx h ctx =
    read/write/free sets are preallocated arrays that only grow. A nested
    [atomic] (pool slot busy) falls back to a fresh descriptor. *)
 let get_tx h ctx =
-  let slot = Simmem.thread_slot h.hmem (Sim.tid ctx) in
+  let slot = Simmem.thread_slot h.hmem ctx.Sim.ctx_tid in
   match h.pool.(slot) with
   | Some tx when not tx.busy ->
     tx.ctx <- ctx;
@@ -492,7 +492,7 @@ let count_abort h ~tid = function
 
 let backoff h ctx n =
   Sim.tick ctx
-    (Sim.Backoff.delay ~base:h.cfg.backoff_base ~cap:h.cfg.backoff_max (Sim.rng ctx) n)
+    (Sim.Backoff.delay ~base:h.cfg.backoff_base ~cap:h.cfg.backoff_max ctx.Sim.ctx_rng n)
 
 let acquire_lock h ctx =
   let rec spin n =
@@ -513,9 +513,9 @@ let release_lock h ctx = Simmem.fenced_write h.hmem ctx h.lock_addr 0
 let run_locked h ctx tx attempt f =
   acquire_lock h ctx;
   Obs.Metrics.incr1 h.c_fallbacks;
-  Obs.Metrics.incr_t h.c_att_tle (Sim.tid ctx);
-  let t_lock = Sim.clock ctx in
-  if Sim.observed ctx then Sim.emit ctx (Obs.Event.Fallback { attempt });
+  Obs.Metrics.incr_t h.c_att_tle ctx.Sim.ctx_tid;
+  let t_lock = ctx.Sim.clock in
+  if Option.is_some ctx.Sim.ctx_obs then Sim.emit ctx (Obs.Event.Fallback { attempt });
   reset_tx tx Locked attempt;
   (* Crash safety: the lock must be released on every exit path — including
      an injected kill raising [Stop_thread] out of the block — and the
@@ -527,21 +527,22 @@ let run_locked h ctx tx attempt f =
     if not !released then begin
       released := true;
       Sim.shield ctx (fun () -> release_lock h ctx);
-      if Sim.observed ctx then Sim.emit ctx (Obs.Event.Release { attempt; start = t_lock })
+      if Option.is_some ctx.Sim.ctx_obs then
+        Sim.emit ctx (Obs.Event.Release { attempt; start = t_lock })
     end
   in
   Fun.protect ~finally:release (fun () ->
       let v = f tx in
       release ();
       run_frees tx;
-      if Sim.observed ctx then
+      if Option.is_some ctx.Sim.ctx_obs then
         Sim.emit ctx
           (Obs.Event.Commit { path = Tle; attempt; start = t_lock; reads = 0; writes = 0 });
       v)
 
 (* One hop down the degradation lattice, with the abort that drove it. *)
 let escalate ctx ~from_path ~to_path ~attempt ~reason witness =
-  if Sim.observed ctx then
+  if Option.is_some ctx.Sim.ctx_obs then
     Sim.emit ctx (Obs.Event.Escalate { from_path; to_path; attempt; reason; witness })
 
 (* The software slow path: run the block as an STM transaction (same [tx]
@@ -550,7 +551,7 @@ let escalate ctx ~from_path ~to_path ~attempt ~reason witness =
 let run_stm h s ctx tx n ~last ~lastw f on_abort =
   Obs.Metrics.incr1 h.c_esc_stm;
   escalate ctx ~from_path:Hw ~to_path:Stm ~attempt:n ~reason:last lastw;
-  let tid = Sim.tid ctx in
+  let tid = ctx.Sim.ctx_tid in
   match
     Stm.atomic s ctx ~max_attempts:h.cfg.stm_attempts
       ~on_abort:(fun r -> on_abort (Stm.event_reason r))
@@ -572,8 +573,8 @@ let run_stm h s ctx tx n ~last ~lastw f on_abort =
    cycles-to-commit, and a liveness-watchdog note. *)
 let finish h ctx t0 n =
   if n > Obs.Metrics.gauge_max h.g_consec then Obs.Metrics.set h.g_consec n;
-  Obs.Metrics.observe h.h_commit (Sim.clock ctx - t0);
-  Obs.Metrics.incr_by h.c_cycles (Sim.clock ctx - t0);
+  Obs.Metrics.observe h.h_commit (ctx.Sim.clock - t0);
+  Obs.Metrics.incr_by h.c_cycles (ctx.Sim.clock - t0);
   Sim.note_progress ctx
 
 (* The attempt loop lives at top level (not as a closure inside [atomic])
@@ -621,13 +622,13 @@ let rec attempt_loop h ctx tx f on_abort tid t0 n last =
        deterministic costs let the backoff phase-lock contending threads
        into conflict-free lockstep that a real machine's pipeline and
        interrupt noise would constantly break. *)
-    Sim.tick ctx (h.cfg.tx_begin_cost + Sim.Rng.int (Sim.rng ctx) 16);
+    Sim.tick ctx (h.cfg.tx_begin_cost + Sim.Rng.int ctx.Sim.ctx_rng 16);
     (* Strong atomicity (paper §6): transaction begin drains the
        thread's store buffer so tx reads never miss its own pre-tx
        stores, and commit writes through [Tx_plane] — tx stores never
        linger in a buffer. No-op under the [sc] model. *)
     Simmem.drain h.hmem ctx;
-    let t_att = Sim.clock ctx in
+    let t_att = ctx.Sim.clock in
     reset_tx tx Hw n;
     Obs.Metrics.incr_t h.c_att_hw tid;
     match
@@ -647,7 +648,7 @@ let rec attempt_loop h ctx tx f on_abort tid t0 n last =
     | v ->
       Obs.Metrics.incr_t h.c_commits tid;
       Obs.Metrics.observe h.h_stores tx.nstores;
-      if Sim.observed ctx then
+      if Option.is_some ctx.Sim.ctx_obs then
         Sim.emit ctx
           (Obs.Event.Commit
              { path = Hw; attempt = n; start = t_att; reads = tx.nreads; writes = tx.nwrites });
@@ -671,7 +672,7 @@ let rec attempt_loop h ctx tx f on_abort tid t0 n last =
       in
       tx.witness <- None;
       tx.last_w <- w;
-      if Sim.observed ctx then
+      if Option.is_some ctx.Sim.ctx_obs then
         Sim.emit ctx
           (Obs.Event.Abort { path = Hw; attempt = n; start = t_att; reason = r; witness = w });
       Sim.tick ctx h.cfg.tx_abort_cost;
@@ -689,8 +690,8 @@ let atomic h ctx ?(on_abort = fun (_ : abort_reason) -> ()) f =
   let tx = get_tx h ctx in
   tx.busy <- true;
   tx.last_w <- None;
-  let t0 = Sim.clock ctx in
-  let tid = Sim.tid ctx in
+  let t0 = ctx.Sim.clock in
+  let tid = ctx.Sim.ctx_tid in
   match attempt_loop h ctx tx f on_abort tid t0 0 Conflict with
   | v ->
     tx.busy <- false;

@@ -62,6 +62,9 @@ let n_states = 64
 
 type t = {
   spec : spec;
+  (* [kill_rate +. stall_rate], summed once: a sum made per decision
+     would be boxed to pass it to [Rng.below]. *)
+  stall_below : float;
   states : thread_state array;
   mutable random_kills : int;
   mutable rev_events : event list;
@@ -88,7 +91,13 @@ let make spec =
           dead = false;
         })
   in
-  { spec; states; random_kills = 0; rev_events = [] }
+  {
+    spec;
+    stall_below = spec.kill_rate +. spec.stall_rate;
+    states;
+    random_kills = 0;
+    rev_events = [];
+  }
 
 let spec t = t.spec
 
@@ -112,12 +121,12 @@ let decide t ~tid ~clock =
         let s = t.spec in
         if s.kill_rate <= 0.0 && s.stall_rate <= 0.0 then Nothing
         else begin
-          let r = Rng.float st.point_rng 1.0 in
-          if r < s.kill_rate && t.random_kills < s.max_random_kills then begin
+          let r = Rng.bits53 st.point_rng in
+          if Rng.below r s.kill_rate && t.random_kills < s.max_random_kills then begin
             t.random_kills <- t.random_kills + 1;
             kill t st ~tid ~clock
           end
-          else if r < s.kill_rate +. s.stall_rate && s.stall_cycles > 0 then begin
+          else if Rng.below r t.stall_below && s.stall_cycles > 0 then begin
             let d = (s.stall_cycles / 2) + Rng.int st.point_rng (max 1 (s.stall_cycles / 2)) in
             log t tid clock (Stalled d);
             Stall d
@@ -154,7 +163,9 @@ let spurious t ~tid ~clock =
   if t.spec.spurious_abort_rate <= 0.0 || tid < 0 || tid >= n_states then false
   else begin
     let st = t.states.(tid) in
-    let fires = (not st.dead) && Rng.float st.spurious_rng 1.0 < t.spec.spurious_abort_rate in
+    let fires =
+      (not st.dead) && Rng.below (Rng.bits53 st.spurious_rng) t.spec.spurious_abort_rate
+    in
     if fires then log t tid clock Spurious_abort;
     fires
   end

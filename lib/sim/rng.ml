@@ -1,117 +1,51 @@
-(* SplitMix64 on a pair of 32-bit halves held in immediate ints.
+(* SplitMix64 on an 8-byte state read and written as one native int64.
 
-   The obvious [mutable state : int64] representation boxes on every store
-   and every intermediate product (no flambda), which put ~9 minor-heap
-   allocations on *each* draw — and the simulator draws several times per
-   simulated operation (dispatch jitter, op mixes, scheduler tie-breaks,
-   transaction-begin jitter). Emulating the 64-bit arithmetic on two
-   unboxed halves makes every draw allocation-free while producing
-   bit-identical streams (test/test_rng.ml pins the equivalence against a
-   boxed Int64 reference implementation), so recorded schedules and
-   committed benchmark artifacts are preserved byte-for-byte.
+   [%caml_bytes_get64u] and [%caml_bytes_set64u] move the state between
+   the bytes and an unboxed int64 local, so a draw keeps every
+   intermediate in registers and allocates nothing, without flambda. A
+   [mutable state : int64] field would box on every store instead, and
+   the simulator draws several times per simulated operation (scheduler
+   tie-breaks, dispatch and transaction-begin jitter, backoff, op mixes,
+   fault plans). test/test_rng.ml pins every draw against a boxed Int64
+   reference and against known-answer vectors, so recorded schedules and
+   committed artifacts stay byte-identical. *)
 
-   The output scratch cells live in [t] (one generator is only ever used
-   by one domain at a time; the sweep runner gives every worker domain its
-   own), so a draw performs no stores outside its own record. *)
+type t = Bytes.t
 
-type t = {
-  mutable hi : int;  (* state, high 32 bits *)
-  mutable lo : int;  (* state, low 32 bits *)
-  mutable zh : int;  (* scratch: last output, high 32 bits *)
-  mutable zl : int;  (* scratch: last output, low 32 bits *)
-}
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let mask32 = 0xFFFFFFFF
-let mask16 = 0xFFFF
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-(* low 32 bits of the product of two values < 2^32: split one operand into
-   16-bit halves so no intermediate exceeds 2^48. *)
-let low32_mul x y =
-  ((x land mask16) * y + ((((x lsr 16) * y) land mask16) lsl 16)) land mask32
+let create seed = of_state (Int64.of_int seed)
 
-(* golden gamma 0x9E3779B97F4A7C15 *)
-let g_hi = 0x9E3779B9
-let g_lo = 0x7F4A7C15
+(* One step: advance the state by the golden gamma, return the mix.
+   Inlined into each draw, so the int64 it returns is never boxed. *)
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) 0x9E3779B97F4A7C15L in
+  set64 t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* mix constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB *)
-let c1_hi = 0xBF58476D
-let c1_lo = 0x1CE4E5B9
-let c2_hi = 0x94D049BB
-let c2_lo = 0x133111EB
+let bits64 t = next t
+let bits t = Int64.to_int (next t)
+let split t = of_state (next t)
 
-let create seed =
-  { hi = (seed asr 32) land mask32; lo = seed land mask32; zh = 0; zl = 0 }
-
-(* z ^= z >>> k, on the scratch cells (k < 32). *)
-let xorshift_r t k =
-  let hi = t.zh and lo = t.zl in
-  t.zh <- hi lxor (hi lsr k);
-  t.zl <- lo lxor (((hi lsl (32 - k)) lor (lo lsr k)) land mask32)
-
-(* z *= (c_hi, c_lo) mod 2^64, on the scratch cells. The 32x32 low
-   product is computed in 16-bit limbs so no intermediate leaves the
-   immediate-int range. *)
-let mul_const t c_hi c_lo =
-  let hi = t.zh and lo = t.zl in
-  let x0 = lo land mask16 and x1 = lo lsr 16 in
-  let y0 = c_lo land mask16 and y1 = c_lo lsr 16 in
-  let t0 = x0 * y0 in
-  let t1 = (x0 * y1) + (x1 * y0) in
-  let lo_full = t0 + ((t1 land mask16) lsl 16) in
-  let p_hi = ((x1 * y1) + (t1 lsr 16) + (lo_full lsr 32)) land mask32 in
-  t.zh <- (p_hi + low32_mul lo c_hi + low32_mul hi c_lo) land mask32;
-  t.zl <- lo_full land mask32
-
-(* One SplitMix64 step; the output lands in the scratch cells. *)
-let step t =
-  (* state += golden_gamma *)
-  let lo_full = t.lo + g_lo in
-  let lo = lo_full land mask32 in
-  let hi = (t.hi + g_hi + (lo_full lsr 32)) land mask32 in
-  t.hi <- hi;
-  t.lo <- lo;
-  t.zh <- hi;
-  t.zl <- lo;
-  xorshift_r t 30;
-  mul_const t c1_hi c1_lo;
-  xorshift_r t 27;
-  mul_const t c2_hi c2_lo;
-  xorshift_r t 31
-
-let bits64 t =
-  step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.zh) 32) (Int64.of_int t.zl)
-
-(* The low 63 bits of the next output as a native int — exactly
-   [Int64.to_int (bits64 t)], without the box. *)
-let bits t =
-  step t;
-  (t.zh lsl 32) lor t.zl
-
-let split t =
-  step t;
-  { hi = t.zh; lo = t.zl; zh = 0; zl = 0 }
-
-(* [int] reduces the 63-bit value (z >>> 1) modulo [bound], matching
-   [Int64.rem] on the non-negative 63-bit operand. The int pattern
-   [(hi lsl 31) lor (lo lsr 1)] carries those 63 bits but reads as
-   negative when bit 62 is set, so the unsigned remainder is recovered
-   from the halves: (2q + b) mod m = (2 (q mod m) + b) mod m. *)
+(* z >>> 1 is non-negative as an int64, so [Int64.rem] is its unsigned
+   remainder for every positive bound. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  step t;
-  let r = (t.zh lsl 31) lor (t.zl lsr 1) in
-  if r >= 0 then r mod bound
-  else
-    let q = (r lsr 1) mod bound in
-    (q + q + (r land 1)) mod bound
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
-let bool t =
-  step t;
-  t.zl land 1 = 1
+let bool t = Int64.to_int (next t) land 1 = 1
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let float t bound =
-  step t;
-  (* z >>> 11 is 53 bits: exact in both int and float *)
-  let r = float_of_int ((t.zh lsl 21) lor (t.zl lsr 11)) in
-  r /. 9007199254740992.0 *. bound
+(* 53 bits are exact in a float; dividing by 2^53 is exact too. *)
+let float t bound = float_of_int (bits53 t) /. 0x1p53 *. bound
+
+(* x / 2^53 < p iff x < p * 2^53: scaling by a power of two is exact. *)
+let below x p = float_of_int x < p *. 0x1p53

@@ -25,5 +25,14 @@ val bits : t -> int
 
 val bool : t -> bool
 
+val bits53 : t -> int
+(** The top 53 bits of the next output ([z >>> 11]), in [\[0, 2^53)]:
+    the integer behind {!float}. *)
+
+val below : int -> float -> bool
+(** [below x p] for a {!bits53} draw [x] is exactly [float t 1.0 < p] on
+    the same draw, without boxing a float: a Bernoulli([p]) trial. Fault
+    plans test their rates this way. *)
+
 val float : t -> float -> float
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)

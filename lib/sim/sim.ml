@@ -181,7 +181,6 @@ let tid ctx = ctx.ctx_tid
 let clock ctx = ctx.clock
 let rng ctx = ctx.ctx_rng
 let set_observer ctx s = ctx.ctx_obs <- s
-let observed ctx = match ctx.ctx_obs with None -> false | Some _ -> true
 
 let emit ctx ev =
   match ctx.ctx_obs with None -> () | Some f -> f ~tid:ctx.ctx_tid ~clock:ctx.clock ev

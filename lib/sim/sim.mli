@@ -17,10 +17,33 @@ module Rng = Rng
 module Ibuf = Ibuf
 module Fault = Fault
 
-type tctx
+type sched
+(** The scheduler state of one {!run}. *)
+
+type tctx = private {
+  ctx_tid : int;  (** the thread id; {!boot_tid} for a boot context *)
+  mutable clock : int;  (** virtual clock, in cycles *)
+  ctx_rng : Rng.t;  (** the thread-private RNG *)
+  mutable sched : sched option;
+  mutable faults : Fault.t option;
+  mutable shield_depth : int;
+  mutable last_progress : int;
+  mutable ctx_obs : Obs.Event.sink option;
+      (** the observation stream this thread reports to, if any *)
+  mutable ctx_drains : (terminal:bool -> unit) list;
+}
 (** Per-thread context: identity, virtual clock, private RNG. A [tctx] is
     only valid on the fiber it was handed to (or, for a boot context,
-    outside [run] entirely). *)
+    outside [run] entirely).
+
+    The record is [private]: only this module builds or writes one, and
+    the layers above read its fields. Under dune's [-opaque] dev builds a
+    call into [Sim] is never inlined, so the per-access tests the memory
+    and transaction layers make on every read, write and CAS are field
+    reads: [ctx.Sim.ctx_tid] for the thread, and [ctx.Sim.ctx_obs] for
+    whether the context is observed. An emitting site tests [ctx_obs]
+    before it builds its event, so an unobserved context builds none:
+    the whole cost of observation off is that one test per site. *)
 
 exception Stop_thread
 (** Raise inside a thread body to terminate that thread immediately;
@@ -211,11 +234,6 @@ val set_default_observer : Obs.Event.sink option -> unit
 val set_observer : tctx -> Obs.Event.sink option -> unit
 (** Override the observer of one context (e.g. a boot context created
     before observation began). *)
-
-val observed : tctx -> bool
-(** Whether this context reports to an observer. Emitting sites test it
-    first, so an unobserved context builds no event: the whole cost of
-    observation off is this one test per site. *)
 
 val emit : tctx -> Obs.Event.t -> unit
 (** Deliver one event, stamped with the context's tid and current clock,

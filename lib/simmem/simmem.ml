@@ -335,7 +335,7 @@ let thread_slot t tid =
 let thread_slots t = t.cap + 1
 
 let label (_ : t) ctx ~name ~base ~words =
-  if Sim.observed ctx then Sim.emit ctx (Obs.Event.Label { name; base; words })
+  if Option.is_some ctx.Sim.ctx_obs then Sim.emit ctx (Obs.Event.Label { name; base; words })
 
 (* ---- Conflict forensics ----------------------------------------------
 
@@ -364,9 +364,9 @@ let wr_ensure t =
    observed. *)
 let note_write t ctx addr op =
   if addr >= Array.length t.wr_tid then wr_ensure t;
-  Array.unsafe_set t.wr_tid addr (Sim.tid ctx);
+  Array.unsafe_set t.wr_tid addr ctx.Sim.ctx_tid;
   Bytes.unsafe_set t.wr_kind addr (Char.unsafe_chr (op_code op));
-  t.wr_clock.(addr) <- Sim.clock ctx
+  t.wr_clock.(addr) <- ctx.Sim.clock
 
 let last_writer t addr =
   if addr < 0 || addr >= Array.length t.wr_tid then None
@@ -400,7 +400,7 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
     | Some tid -> if tid = jtid then (tid, jclock, jop) else (tid, -1, "lock")
   in
   {
-    Obs.Event.w_victim = Sim.tid ctx;
+    Obs.Event.w_victim = ctx.Sim.ctx_tid;
     w_aggressor = agg;
     w_addr = addr;
     w_line = addr lsr line_shift;
@@ -409,7 +409,7 @@ let conflict_witness t ctx ~addr ?lookup ?aggressor ~victim_wrote ~in_read_set
     w_write_set = in_write_set;
     w_op = op;
     w_aggressor_clock = agg_clock;
-    w_clock = Sim.clock ctx;
+    w_clock = ctx.Sim.clock;
     w_site = site;
   }
 
@@ -469,7 +469,7 @@ let bump_version t ctx addr =
   Array.unsafe_set t.versions addr (Array.unsafe_get t.versions addr + 1);
   let line = addr lsr line_shift in
   Array.unsafe_set t.lversions line (Array.unsafe_get t.lversions line + 1);
-  Array.unsafe_set t.lw_tid line (Sim.tid ctx)
+  Array.unsafe_set t.lw_tid line ctx.Sim.ctx_tid
 
 let check_live t addr =
   if addr <= 0 || addr >= t.extent then raise (Fault (Unallocated addr))
@@ -490,7 +490,7 @@ let popcount x =
    event on observed contexts. Zero virtual cycles. *)
 let observe_miss t ctx ~write ~addr ~line ~sharers ~cost ~wait =
   if wait > 0 then Obs.Metrics.observe t.h_queue_wait wait;
-  if Sim.observed ctx then
+  if Option.is_some ctx.Sim.ctx_obs then
     Sim.emit ctx (Obs.Event.Miss { write; addr; line; cost; wait; sharers })
 
 (* Coherence miss: an MSI approximation. A miss occupies the line for the
@@ -500,7 +500,7 @@ let observe_miss t ctx ~write ~addr ~line ~sharers ~cost ~wait =
    pre-miss sharer count (for the contention profile); the returned cost
    includes any queuing delay. *)
 let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
-  let now = Sim.clock ctx in
+  let now = ctx.Sim.clock in
   let start = max now t.line_busy.(line) in
   let finish = start + base in
   t.line_busy.(line) <- finish;
@@ -509,7 +509,7 @@ let miss_cost t ctx ~write ~addr ~line ~sharers ~base =
   finish - now
 
 let read_cost t ctx addr =
-  let tid = Sim.tid ctx in
+  let tid = ctx.Sim.ctx_tid in
   let line = addr lsr line_shift in
   let b = thread_slot t tid in
   Obs.Metrics.incr_t t.c_reads tid;
@@ -544,7 +544,7 @@ let read_cost t ctx addr =
   end
 
 let write_cost t ctx addr =
-  let tid = Sim.tid ctx in
+  let tid = ctx.Sim.ctx_tid in
   let line = addr lsr line_shift in
   let b = thread_slot t tid in
   Obs.Metrics.incr_t t.c_writes tid;
@@ -593,7 +593,7 @@ let write_cost t ctx addr =
    interleave. Under [sc] no buffer is ever touched and every code path
    below collapses to the pre-weak-memory instruction sequence. *)
 
-let buffering t ctx = t.model.Sim.Memmodel.buffered && Sim.tid ctx <> Sim.boot_tid
+let buffering t ctx = t.model.Sim.Memmodel.buffered && ctx.Sim.ctx_tid <> Sim.boot_tid
 
 let empty_sbuf () = { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb_reg = None }
 
@@ -602,14 +602,14 @@ let empty_sbuf () = { sb_addr = [||]; sb_val = [||]; sb_head = 0; sb_len = 0; sb
 let no_sbuf = empty_sbuf ()
 
 let sbuf_of t ctx =
-  if Array.length t.sbufs = 0 then no_sbuf else t.sbufs.(thread_slot t (Sim.tid ctx))
+  if Array.length t.sbufs = 0 then no_sbuf else t.sbufs.(thread_slot t ctx.Sim.ctx_tid)
 
 (* The store path's lookup: builds the table on the heap's first
    buffered store. *)
 let sbuf_for_store t ctx =
   if Array.length t.sbufs = 0 then
     t.sbufs <- Array.init (thread_slots t) (fun _ -> empty_sbuf ());
-  t.sbufs.(thread_slot t (Sim.tid ctx))
+  t.sbufs.(thread_slot t ctx.Sim.ctx_tid)
 
 (* Ring primitives: the capacity equals the model's buffer depth (the
    write path drains before pushing at capacity, so it never overflows). *)
@@ -654,7 +654,7 @@ let drain_one t ctx ~terminal sb =
         sb_pop sb;
         t.values.(addr) <- v;
         bump_version t ctx addr;
-        if Sim.observed ctx then begin
+        if Option.is_some ctx.Sim.ctx_obs then begin
           note_write t ctx addr Op_store;
           emit ctx (Write { addr; value = v })
         end
@@ -709,10 +709,10 @@ let read t ctx addr =
        traffic, no miss possible. *)
     let v = (sbuf_of t ctx).sb_val.(fwd) in
     check_live t addr;
-    Obs.Metrics.incr_t t.c_reads (Sim.tid ctx);
+    Obs.Metrics.incr_t t.c_reads ctx.Sim.ctx_tid;
     Sim.tick ctx t.cost.read_hit;
     check_live t addr;
-    if Sim.observed ctx then emit ctx (Read { addr; value = v });
+    if Option.is_some ctx.Sim.ctx_obs then emit ctx (Read { addr; value = v });
     v
   end
   else begin
@@ -720,7 +720,7 @@ let read t ctx addr =
     Sim.tick ctx (read_cost t ctx addr);
     check_live t addr;
     let v = t.values.(addr) in
-    if Sim.observed ctx then emit ctx (Read { addr; value = v });
+    if Option.is_some ctx.Sim.ctx_obs then emit ctx (Read { addr; value = v });
     v
   end
 
@@ -732,7 +732,7 @@ let write_through t ctx addr v =
   check_live t addr;
   t.values.(addr) <- v;
   bump_version t ctx addr;
-  if Sim.observed ctx then begin
+  if Option.is_some ctx.Sim.ctx_obs then begin
     note_write t ctx addr Op_store;
     emit ctx (Write { addr; value = v })
   end
@@ -767,7 +767,7 @@ let cas t ctx addr ~expected ~desired =
     t.values.(addr) <- desired;
     bump_version t ctx addr
   end;
-  if Sim.observed ctx then begin
+  if Option.is_some ctx.Sim.ctx_obs then begin
     if success then note_write t ctx addr Op_atomic
     else
       (* A failed CAS is a coherence-plane conflict in its own right: some
@@ -792,7 +792,7 @@ let fetch_add t ctx addr d =
   let old = t.values.(addr) in
   t.values.(addr) <- old + d;
   bump_version t ctx addr;
-  if Sim.observed ctx then begin
+  if Option.is_some ctx.Sim.ctx_obs then begin
     note_write t ctx addr Op_atomic;
     emit ctx (Fetch_add { addr; delta = d; old })
   end;
@@ -910,7 +910,7 @@ let arena_rq_push a base gran =
    frees parked on the ring become reusable at the owner's next fence or
    allocation. *)
 let arena_of t ctx =
-  let tid = Sim.tid ctx in
+  let tid = ctx.Sim.ctx_tid in
   let slot = thread_slot t tid in
   let a =
     match t.arenas.(slot) with
@@ -998,7 +998,7 @@ let malloc t ctx n =
   Obs.Metrics.add t.g_live_words n;
   Obs.Metrics.add t.g_live_blocks 1;
   Obs.Metrics.incr1 t.c_allocs;
-  if Sim.observed ctx then begin
+  if Option.is_some ctx.Sim.ctx_obs then begin
     for a = base to base + n - 1 do
       note_write t ctx a Op_malloc
     done;
@@ -1031,7 +1031,7 @@ let free t ctx base =
        in
        let gran = granule_of placement n in
        let owner = t.block_owner.(base) - 1 in
-       let tid = Sim.tid ctx in
+       let tid = ctx.Sim.ctx_tid in
        if owner = tid || owner < 0 then arena_fl_push t (arena_of t ctx) gran base
        else
          match t.arenas.(thread_slot t owner) with
@@ -1046,7 +1046,7 @@ let free t ctx base =
     Obs.Metrics.add t.g_live_words (-n);
     Obs.Metrics.add t.g_live_blocks (-1);
     Obs.Metrics.incr1 t.c_frees;
-    if Sim.observed ctx then begin
+    if Option.is_some ctx.Sim.ctx_obs then begin
       for a = base to base + n - 1 do
         note_write t ctx a Op_free
       done;
@@ -1067,7 +1067,7 @@ module Tx_plane = struct
       else begin
         let v = t.values.(addr) in
         t.txr_val <- v;
-        if Sim.observed ctx then emit ctx (Read { addr; value = v });
+        if Option.is_some ctx.Sim.ctx_obs then emit ctx (Read { addr; value = v });
         t.versions.(addr)
       end
     end
@@ -1086,7 +1086,7 @@ module Tx_plane = struct
       Sim.charge ctx (write_cost t ctx addr);
       t.values.(addr) <- v;
       bump_version t ctx addr;
-      if Sim.observed ctx then begin
+      if Option.is_some ctx.Sim.ctx_obs then begin
         note_write t ctx addr Op_commit;
         emit ctx (Write { addr; value = v })
       end;

@@ -203,7 +203,7 @@ let mem t = t.smem
 let config t = t.cfg
 let metrics t = t.mreg
 let set_fence t addr = t.fence <- addr
-let last_witness t ctx = t.last_w.(slot_of (Sim.tid ctx))
+let last_witness t ctx = t.last_w.(slot_of ctx.Sim.ctx_tid)
 
 let stats t =
   {
@@ -269,7 +269,7 @@ let fresh_tx s ctx =
 (* Fetch the thread's pooled transaction, falling back to a fresh record
    under nesting (the pooled one is busy running the outer body). *)
 let get_tx s ctx =
-  let slot = slot_of (Sim.tid ctx) in
+  let slot = slot_of ctx.Sim.ctx_tid in
   match s.pool.(slot) with
   | Some tx when not tx.busy ->
     tx.ctx <- ctx;
@@ -335,7 +335,7 @@ let rec locks_clear_from s me tx i =
       (o = 0 || o = me) && locks_clear_from s me tx (i + 1))
 
 let read_locks_clear tx =
-  locks_clear_from tx.s (slot_of (Sim.tid tx.ctx) + 1) tx 0
+  locks_clear_from tx.s (slot_of tx.ctx.Sim.ctx_tid + 1) tx 0
 
 (* ---- Conflict forensics: locate the word that doomed an attempt.
    Scanned only on abort paths, so the success path pays nothing. *)
@@ -359,7 +359,7 @@ let first_invalid tx =
 
 let first_locked_read tx =
   let s = tx.s in
-  let me = slot_of (Sim.tid tx.ctx) + 1 in
+  let me = slot_of tx.ctx.Sim.ctx_tid + 1 in
   let rec go i =
     if i >= tx.nreads then None
     else
@@ -428,14 +428,14 @@ let steal_from s ctx victim =
   done;
   if !freed > 0 then begin
     Obs.Metrics.incr_by s.c_steals !freed;
-    if Sim.observed ctx then Sim.emit ctx (Obs.Event.Steal { victim; locks = !freed })
+    if Option.is_some ctx.Sim.ctx_obs then Sim.emit ctx (Obs.Event.Steal { victim; locks = !freed })
   end
 
 let watch_or_steal s ctx la lw =
-  let me = slot_of (Sim.tid ctx) in
+  let me = slot_of ctx.Sim.ctx_tid in
   let victim = owner_of lw - 1 in
   let h = Simmem.read s.smem ctx (hb_addr s victim) in
-  let now = Sim.clock ctx in
+  let now = ctx.Sim.clock in
   match s.watch.(me) with
   | Some (la', o', h', t0) when la' = la && o' = victim && h' = h ->
     if now - t0 >= s.cfg.steal_timeout then begin
@@ -551,7 +551,7 @@ let push_lock tx la old =
    re-locked by their stealer) are left alone. *)
 let release_owned tx =
   let s = tx.s in
-  let me = slot_of (Sim.tid tx.ctx) in
+  let me = slot_of tx.ctx.Sim.ctx_tid in
   for i = 0 to tx.nlocks - 1 do
     let la = tx.laddr.(i) and old = tx.lold.(i) in
     if Simmem.peek s.smem la = locked_word (ver_of old) me then
@@ -588,7 +588,7 @@ let stripes tx =
 let rec acquire tx la =
   let s = tx.s in
   let ctx = tx.ctx in
-  let me = slot_of (Sim.tid ctx) in
+  let me = slot_of ctx.Sim.ctx_tid in
   let lw = Simmem.read s.smem ctx la in
   if owner_of lw = 0 then begin
     if Simmem.cas s.smem ctx la ~expected:lw ~desired:(locked_word (ver_of lw) me)
@@ -614,7 +614,7 @@ let writes_allocated tx =
 let commit tx =
   let s = tx.s in
   let ctx = tx.ctx in
-  let me = slot_of (Sim.tid ctx) in
+  let me = slot_of ctx.Sim.ctx_tid in
   if tx.nwrites = 0 then begin
     (* Read-only: the per-read revalidation kept the snapshot consistent;
        one final atomic validation pins its linearization point. The TLE
@@ -636,7 +636,7 @@ let commit tx =
   else begin
     (* Entering the lock phase: bump the heartbeat so contenders can tell
        a slow owner from a dead one. *)
-    Simmem.write s.smem ctx (hb_addr s me) (Sim.clock ctx + 1);
+    Simmem.write s.smem ctx (hb_addr s me) (ctx.Sim.clock + 1);
     let nls = stripes tx in
     let ok = ref true in
     let failed_la = ref 0 in
@@ -717,19 +717,19 @@ let commit tx =
 
 let backoff s ctx n =
   Sim.tick ctx
-    (Sim.Backoff.delay ~base:s.cfg.backoff_base ~cap:s.cfg.backoff_max (Sim.rng ctx) n)
+    (Sim.Backoff.delay ~base:s.cfg.backoff_base ~cap:s.cfg.backoff_max ctx.Sim.ctx_rng n)
 
 (* Top-level (not a closure inside [atomic]) so a pooled transaction's
    fast path allocates nothing. *)
 let rec attempt_loop s ctx tx budget f on_abort tid t0 n last =
   if budget > 0 && n >= budget then raise (Retry_exhausted last);
-  Sim.tick ctx (s.cfg.start_cost + Sim.Rng.int (Sim.rng ctx) 16);
+  Sim.tick ctx (s.cfg.start_cost + Sim.Rng.int ctx.Sim.ctx_rng 16);
   (* Transaction begin is a full fence: the thread's pre-tx buffered
      stores must be visible before any tx read, or commit-time
      validation would validate against state the thread itself is about
      to overwrite. No-op under the [sc] model. *)
   Simmem.drain s.smem ctx;
-  let t_att = Sim.clock ctx in
+  let t_att = ctx.Sim.clock in
   reset_tx tx n;
   Obs.Metrics.incr_t s.c_attempts tid;
   tx.rv <- Simmem.read s.smem ctx s.clock_addr;
@@ -741,8 +741,8 @@ let rec attempt_loop s ctx tx budget f on_abort tid t0 n last =
   | v ->
     Obs.Metrics.incr_t s.c_commits tid;
     Obs.Metrics.observe s.h_writes tx.nwrites;
-    Obs.Metrics.observe s.h_commit (Sim.clock ctx - t0);
-    if Sim.observed ctx then
+    Obs.Metrics.observe s.h_commit (ctx.Sim.clock - t0);
+    if Option.is_some ctx.Sim.ctx_obs then
       Sim.emit ctx
         (Obs.Event.Commit
            { path = Stm; attempt = n; start = t_att; reads = tx.nreads; writes = tx.nwrites });
@@ -758,7 +758,7 @@ let rec attempt_loop s ctx tx budget f on_abort tid t0 n last =
     let w = tx.witness in
     tx.witness <- None;
     s.last_w.(slot_of tid) <- w;
-    if Sim.observed ctx then
+    if Option.is_some ctx.Sim.ctx_obs then
       Sim.emit ctx
         (Obs.Event.Abort
            { path = Stm; attempt = n; start = t_att; reason = event_reason r; witness = w });
@@ -771,8 +771,8 @@ let atomic s ctx ?max_attempts ?(on_abort = fun (_ : abort_reason) -> ()) f =
   let budget = match max_attempts with Some m -> m | None -> s.cfg.max_attempts in
   let tx = get_tx s ctx in
   tx.busy <- true;
-  let t0 = Sim.clock ctx in
-  let tid = Sim.tid ctx in
+  let t0 = ctx.Sim.clock in
+  let tid = ctx.Sim.ctx_tid in
   match attempt_loop s ctx tx budget f on_abort tid t0 0 Conflict with
   | v ->
     tx.busy <- false;

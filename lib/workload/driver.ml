@@ -108,14 +108,14 @@ let ops_per_us ~ops ~duration = float_of_int ops *. float_of_int cycles_per_us /
 (* Dispatch cost with jitter: real benchmark loops have timing noise, and
    a perfectly deterministic cost lets contending threads phase-lock into
    artificial conflict-free schedules. *)
-let tick_dispatch ctx = Sim.tick ctx (op_dispatch + Sim.Rng.int (Sim.rng ctx) 32)
+let tick_dispatch ctx = Sim.tick ctx (op_dispatch + Sim.Rng.int ctx.Sim.ctx_rng 32)
 
 (* Run one op repeatedly from [warmup] until the deadline; returns the
    number of completed operations. Used by the measured thread(s). *)
 let measured_loop ctx ~deadline op =
   let ops = ref 0 in
   Sim.advance_to ctx warmup;
-  while Sim.clock ctx < deadline do
+  while ctx.Sim.clock < deadline do
     tick_dispatch ctx;
     op ();
     incr ops

@@ -73,6 +73,43 @@ let test_zero_alloc_single_thread () =
       "single-thread fig1 cell allocated %.0f minor words for %d accesses (budget %.0f)"
       words accesses budget
 
+(* Every draw is allocation-free: the generator's state is raw bytes
+   read as an unboxed int64, and a fault plan tests its rates on the
+   53-bit integer draw. A generator that boxed its state (a [mutable
+   state : int64] field) or a fault draw that went through [Rng.float]
+   would allocate on each of these draws. The fault plan's rates are
+   positive, so every decision draws, and tiny, so none fires and logs. *)
+let test_zero_alloc_draws () =
+  let n = 100_000 in
+  let words_of f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let r = Sim.Rng.create 17 in
+  let plan =
+    Sim.Fault.make
+      { Sim.Fault.none with stall_rate = 1e-300; stall_cycles = 100; spurious_abort_rate = 1e-300 }
+  in
+  List.iter
+    (fun (name, f) ->
+      let words = words_of f in
+      if words > 0.0 then Alcotest.failf "%d draws of %s allocated %.0f minor words" n name words)
+    [
+      ("Rng.int", fun () -> ignore (Sys.opaque_identity (Sim.Rng.int r 1000)));
+      ("Rng.bits", fun () -> ignore (Sys.opaque_identity (Sim.Rng.bits r)));
+      ("Rng.bool", fun () -> ignore (Sys.opaque_identity (Sim.Rng.bool r)));
+      ( "Rng.bits53 + Rng.below",
+        fun () -> ignore (Sys.opaque_identity (Sim.Rng.below (Sim.Rng.bits53 r) 0.02)) );
+      ( "Fault.decide",
+        fun () -> ignore (Sys.opaque_identity (Sim.Fault.decide plan ~tid:1 ~clock:0)) );
+      ( "Fault.spurious",
+        fun () -> ignore (Sys.opaque_identity (Sim.Fault.spurious plan ~tid:1 ~clock:0)) );
+    ]
+
 (* Machine construction is sized by use, not by capacity: a default heap
    and its HTM domain start from tables small enough for the minor heap
    (no per-thread table of [Sim.max_threads + 1] slots, no pre-sized
@@ -145,6 +182,7 @@ let () =
           Alcotest.test_case "fig1 x1 cell, strict budget" `Quick
             test_zero_alloc_single_thread;
           Alcotest.test_case "machine construction" `Quick test_construction_cost;
+          Alcotest.test_case "RNG and fault-plan draws" `Quick test_zero_alloc_draws;
         ] );
       ( "determinism",
         [
